@@ -22,8 +22,9 @@ import os
 
 import pytest
 
-from repro.experiments.bench import ENGINES, engine_seconds, fleet_config
+from repro.experiments.bench import engine_seconds, fleet_config
 from repro.experiments.registry import apply_overrides, get_preset
+from repro.experiments.runner import run_engine
 from repro.experiments.scenario import build_scenario
 
 #: Wall-clock floor for the array engine at the 960-bus point (plain LoRaWAN).
@@ -42,11 +43,27 @@ def _bench_engine(benchmark, config, engine_name: str, rounds: int = LADDER_ROUN
         return (build_scenario(config),), {}
 
     def run(scenario):
-        return ENGINES[engine_name](scenario).run()
+        return run_engine(scenario, engine_name)
 
     metrics = benchmark.pedantic(run, setup=setup, rounds=rounds, iterations=1)
     assert metrics.messages_generated > 0
     return metrics
+
+
+def _interleaved_seconds(config, array_rounds: int, object_rounds: int):
+    """Best-of-N engine seconds per side, rounds alternating between sides.
+
+    The host's speed drifts over the minute a floor takes; running all of
+    one side's rounds before the other's would let a slow spell land on one
+    side only and skew the ratio, so the sides take turns instead.
+    """
+    array_s = object_s = float("inf")
+    for round_index in range(max(array_rounds, object_rounds)):
+        if round_index < object_rounds:
+            object_s = min(object_s, engine_seconds(config, "object", rounds=1))
+        if round_index < array_rounds:
+            array_s = min(array_s, engine_seconds(config, "array", rounds=1))
+    return array_s, object_s
 
 
 def test_bench_engine_object_240(benchmark):
@@ -78,11 +95,11 @@ def test_bench_engine_speedup_floor_960():
 
     Both engines produce bit-identical RunMetrics (tests/engine/), so this
     is pure wall-clock; min-over-rounds on each side discards scheduler
-    noise before the ratio is taken.
+    noise before the ratio is taken, and the sides alternate rounds so host
+    drift falls on both.
     """
     config = fleet_config(1.0)
-    array_s = engine_seconds(config, "array", rounds=5)
-    object_s = engine_seconds(config, "object", rounds=3)
+    array_s, object_s = _interleaved_seconds(config, array_rounds=5, object_rounds=3)
     speedup = object_s / array_s
     print()
     print(
@@ -105,8 +122,7 @@ def test_bench_engine_speedup_floor_robc_960():
     takes best-of-2 to keep the ratio noise-robust.
     """
     config = fleet_config(1.0, scheme="robc")
-    array_s = engine_seconds(config, "array", rounds=2)
-    object_s = engine_seconds(config, "object", rounds=1)
+    array_s, object_s = _interleaved_seconds(config, array_rounds=2, object_rounds=1)
     speedup = object_s / array_s
     print()
     print(

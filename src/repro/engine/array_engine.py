@@ -43,18 +43,10 @@ around array-shaped state:
   verdicts then go through :meth:`~repro.routing.base.ForwardingScheme.
   on_overhear_batch` — one call per transmission instead of one per
   overhearer — which is exact because decisions are receiver-local, draw no
-  RNG, and handovers run afterwards in the same receiver order.
-
-``engine.strict_equivalence`` (default on) keeps even unobservable estimator
-state identical on the fast path; switching it off skips those updates when
-they are provably result-neutral (non-forwarding scheme, stateless observe
-hook, no queue-based Class A energy coupling), chains generation events
-(one live event per device instead of a pre-scheduled ladder) and coalesces
-*same-time completion groups* — maximal runs of completions tied at the
-same float time with pairwise-disjoint participants — into a single batched
-resolution pass.  Both settings yield the same RunMetrics (relaxed mode is
-RunMetrics-equal rather than event-trace-identical); the differential
-suites in ``tests/engine/`` pin both claims.
+  RNG, and handovers run afterwards in the same receiver order.  Batching
+  stops at the transmission: batching further across same-time
+  transmissions measured no gain worth a second execution order (see
+  ``docs/performance.md``).
 
 With shadowing enabled every link computation draws from the shadowing
 stream, so spatial shortcuts would change the draw order; the engine then
@@ -76,7 +68,7 @@ import numpy as np
 from repro.analysis.metrics import RunMetrics, compute_run_metrics
 from repro.experiments.scenario import BuiltScenario
 from repro.mac.device import EndDevice
-from repro.mac.device_classes import ModifiedClassC, QueueBasedClassA
+from repro.mac.device_classes import ModifiedClassC
 from repro.mac.frames import METRIC_FIELD_BYTES, PACKET_OVERHEAD_BYTES
 from repro.mac.network_server import NetworkServer
 from repro.mac.queueing import BufferPolicy
@@ -181,27 +173,12 @@ class ArrayMLoRaSimulation:
         )
         self._airtime_cache: Dict[Tuple[int, object], float] = {}
 
-        # Fast-path bookkeeping: strict equivalence keeps estimator state
-        # identical even when it is unobservable; relaxing it is only sound
-        # when nothing downstream can read the skipped updates.
-        scheme_observe_is_noop = (
-            type(self._scheme).observe_transmission_slot
-            is ForwardingScheme.observe_transmission_slot
-        )
-        skippable = (
-            not self._uses_forwarding
-            and scheme_observe_is_noop
-            and not any(
-                isinstance(d.device_class, QueueBasedClassA) for d in self._devices
-            )
-        )
-        self._strict_observes = (
-            self.config.engine.strict_equivalence or not skippable
-        )
-        # A base-class observe hook is a literal no-op: skipping the call is
-        # exact regardless of the strict-equivalence setting.
+        # A base-class observe hook is a literal no-op, so the call is skipped.
         self._scheme_observe = (
-            None if scheme_observe_is_noop else self._scheme.observe_transmission_slot
+            None
+            if type(self._scheme).observe_transmission_slot
+            is ForwardingScheme.observe_transmission_slot
+            else self._scheme.observe_transmission_slot
         )
 
         # Per-(channel, int(SF)) collision buckets.
@@ -231,15 +208,6 @@ class ArrayMLoRaSimulation:
             type(self._scheme).on_overhear_batch
             is not ForwardingScheme.on_overhear_batch
         )
-        # Relaxed-order execution (``strict_equivalence=False``): generation
-        # events are re-armed on pop instead of pre-scheduled, and completions
-        # that tie at the same instant with pairwise-disjoint participants are
-        # coalesced into one resolution pass with a single batched forwarding
-        # decision call.  Both are RunMetrics-equivalent to the oracle (the
-        # differential suites pin this); the event/seq bookkeeping may differ.
-        relaxed = not self.config.engine.strict_equivalence
-        self._chain_generations = relaxed
-        self._relaxed_groups = relaxed and self._uses_forwarding and self._batch_decide
 
     # ------------------------------------------------------------------ #
     # Prefilter construction
@@ -427,36 +395,16 @@ class ArrayMLoRaSimulation:
         interval = self.config.device.message_interval_s
         entries = []
         seq = self._seq
-        if self._chain_generations:
-            # Relaxed mode: one live generation event per device, re-armed on
-            # pop instead of the fully pre-scheduled ladder.  The event times
-            # are the identical accumulated floats and same-time generations
-            # keep device order (initial events are pushed in device order;
-            # each pop re-arms in pop order), so only the seq interleaving
-            # with attempt events differs — observable solely on exact float
-            # ties between a generation and an airtime-derived attempt time.
-            # The differential suites pin RunMetrics equality.
-            ends = [0.0] * len(self._traces)
-            for index, trace in enumerate(self._traces):
-                start = max(trace.start_time, 0.0)
-                end = min(trace.end_time, self._duration)
-                ends[index] = end
-                if start < end:
-                    entries.append((start, ATTEMPT_PRIORITY, seq, _GENERATION, index))
-                    seq += 1
-            self._generation_end = ends
-            self._generation_interval = interval
-        else:
-            for index, trace in enumerate(self._traces):
-                start = max(trace.start_time, 0.0)
-                if start >= self._duration:
-                    continue
-                time = start
-                end = min(trace.end_time, self._duration)
-                while time < end:
-                    entries.append((time, ATTEMPT_PRIORITY, seq, _GENERATION, index))
-                    seq += 1
-                    time += interval
+        for index, trace in enumerate(self._traces):
+            start = max(trace.start_time, 0.0)
+            if start >= self._duration:
+                continue
+            time = start
+            end = min(trace.end_time, self._duration)
+            while time < end:
+                entries.append((time, ATTEMPT_PRIORITY, seq, _GENERATION, index))
+                seq += 1
+                time += interval
         self._seq = seq
         self._heap.extend(entries)
         heapq.heapify(self._heap)
@@ -474,42 +422,18 @@ class ArrayMLoRaSimulation:
         on_complete = self._on_uplink_complete
         attempt = self._attempt_uplink
         devices = self._devices
-        relaxed_groups = self._relaxed_groups
-        chain = self._chain_generations
         while heap and heap[0][0] <= duration:
             time, _, _, kind, payload = heappop(heap)
             self.now = time
             if kind == _FAST_COMPLETION:
                 on_fast(payload)
             elif kind == _COMPLETION:
-                if (
-                    relaxed_groups
-                    and heap
-                    and heap[0][0] == time
-                    and heap[0][3] == _COMPLETION
-                ):
-                    self._resolve_completion_group(time, payload)
-                else:
-                    on_complete(payload)
+                on_complete(payload)
             elif kind == _ATTEMPT:
                 pending[payload] = False
                 attempt(payload)
             else:  # _GENERATION — always inside the device's active span
                 devices[payload].generate_message(time)
-                if chain:
-                    next_time = time + self._generation_interval
-                    if next_time < self._generation_end[payload]:
-                        heappush(
-                            heap,
-                            (
-                                next_time,
-                                ATTEMPT_PRIORITY,
-                                self._seq,
-                                _GENERATION,
-                                payload,
-                            ),
-                        )
-                        self._seq += 1
                 attempt(payload)
         # Land the clock exactly like the oracle's Simulator.run(until=...):
         # remaining events (if any) lie strictly beyond the horizon.
@@ -576,10 +500,9 @@ class ArrayMLoRaSimulation:
         was expired by the caller).
         """
         device = self._devices[index]
-        if self._strict_observes:
-            self._observe_slot(index, now, 0.0)
-            if self._scheme_observe is not None:
-                self._scheme_observe(device.device_id, False, now)
+        self._observe_slot(index, now, 0.0)
+        if self._scheme_observe is not None:
+            self._scheme_observe(device.device_id, False, now)
         max_bundle = self._max_bundle[index]
         bundled = queued if queued < max_bundle else max_bundle
         airtimes = self._fast_airtime[index]
@@ -891,114 +814,10 @@ class ArrayMLoRaSimulation:
         if self._uses_forwarding:
             self._resolve_overhearing(device, packet, transmission, overhearers, overlaps)
 
-    def _resolve_completion_group(self, time: float, first_payload) -> None:
-        """Relaxed-order slot batching: one pass over completions tied at ``time``.
-
-        Synchronized fleets (many devices generating on the same period from
-        the same start) complete whole waves of transmissions at the same
-        instant.  This pass pops the maximal run of same-time completions
-        whose participant sets (sender plus overhearers) are pairwise
-        disjoint and resolves them together, with a *single*
-        ``on_overhear_batch`` call across all members.
-
-        Exactness: same-time groups are safe unconditionally.  Every event
-        pushed while resolving carries ``time`` or later with attempt
-        priority, so it pops after all same-time completions in both engines;
-        handover frames registered mid-group start exactly at the members'
-        shared end time and therefore never overlap any member's frame; and
-        participant disjointness plus receiver-local decisions mean no
-        member's decision reads state another member's resolution mutates.
-        Gateway receptions run in original pop order, preserving the
-        reception RNG stream draw-for-draw.
-        """
-        heap = self._heap
-        device_ids = self._device_ids
-        members = [first_payload]
-        participants = set(first_payload[3])
-        participants.add(device_ids[first_payload[0]])
-        while heap and heap[0][0] == time and heap[0][3] == _COMPLETION:
-            payload = heap[0][4]
-            incoming = set(payload[3])
-            incoming.add(device_ids[payload[0]])
-            if incoming & participants:
-                break
-            heappop(heap)
-            participants |= incoming
-            members.append(payload)
-        if len(members) == 1:
-            self._on_uplink_complete(first_payload)
-            return
-
-        # Phase 1 — per member: shared overlap scan and received-filter for
-        # its overhearers (reads only).
-        scheme = self._scheme
-        devices = self.scenario.devices
-        topology = self.scenario.topology
-        all_packets: List = []
-        all_receivers: List[EndDevice] = []
-        all_rssi: List[float] = []
-        all_models: List = []
-        member_slices: List[Tuple[int, int]] = []
-        member_overlaps: List[Optional[List[Dict[str, float]]]] = []
-        for index, packet, transmission, overhearers in members:
-            begin = len(all_receivers)
-            overlaps = None
-            if transmission is not None:
-                overlaps = self._bucket_overlaps(transmission)
-                if overhearers:
-                    model = topology.capacity_model_for(device_ids[index])
-                    for neighbour_id, rssi in overhearers.items():
-                        if self._received_with(overlaps, neighbour_id, rssi):
-                            all_packets.append(packet)
-                            all_receivers.append(devices[neighbour_id])
-                            all_rssi.append(rssi)
-                            all_models.append(model)
-            member_slices.append((begin, len(all_receivers)))
-            member_overlaps.append(overlaps)
-
-        # Phase 2 — one batched forwarding-decision call for the whole group.
-        decisions: List = []
-        if all_receivers:
-            decisions = scheme.on_overhear_batch(
-                all_packets,
-                all_receivers,
-                all_rssi,
-                all_models,
-                [time] * len(all_receivers),
-            )
-
-        # Phase 3 — per member in pop order: gateway reception (identical
-        # RNG discipline), then that member's handovers.
-        for m, (begin, end) in enumerate(member_slices):
-            index, packet, transmission, _ = members[m]
-            device = self._devices[index]
-            delivered_gateway = self._resolve_gateway_reception(
-                transmission, member_overlaps[m]
-            )
-            if delivered_gateway is not None:
-                ack = self.server.process_uplink(packet, delivered_gateway, time)
-                self.scenario.gateways[delivered_gateway].receive(packet)
-                device.on_acknowledged(ack.acked_message_ids)
-                if device.has_data():
-                    self._schedule_attempt(index, device.next_transmission_time)
-            else:
-                retry_allowed = device.on_uplink_failed()
-                if retry_allowed and device.has_data():
-                    self._schedule_attempt(index, device.next_transmission_time)
-            for position in range(begin, end):
-                decision = decisions[position]
-                if decision.forward:
-                    self._perform_handover(
-                        all_receivers[position],
-                        device,
-                        decision.message_limit,
-                        decision.copy,
-                    )
-
     def _resolve_gateway_reception(
         self,
         transmission: Optional[Transmission],
-        overlaps: Optional[List[Dict[str, float]]] = None,
+        overlaps: Optional[List[Dict[str, float]]],
     ) -> Optional[str]:
         """Replica of ``RadioMedium.resolve_gateway_reception`` over buckets.
 
@@ -1009,8 +828,6 @@ class ArrayMLoRaSimulation:
         """
         if transmission is None:
             return None
-        if overlaps is None:
-            overlaps = self._bucket_overlaps(transmission)
         gateways = self.scenario.gateways
         candidates = [
             (rssi, receiver)
@@ -1091,13 +908,6 @@ class ArrayMLoRaSimulation:
                 return False
         return True
 
-    def _bucket_is_received(self, transmission: Transmission, receiver: str) -> bool:
-        """Single-receiver convenience over :meth:`_bucket_overlaps`."""
-        rssi = transmission.rssi_by_receiver.get(receiver)
-        if rssi is None:
-            return False
-        return self._received_with(self._bucket_overlaps(transmission), receiver, rssi)
-
     # ------------------------------------------------------------------ #
     # Overhearing and handovers
     # ------------------------------------------------------------------ #
@@ -1107,7 +917,7 @@ class ArrayMLoRaSimulation:
         packet,
         transmission: Optional[Transmission],
         overhearers: Dict[str, float],
-        overlaps: Optional[List[Dict[str, float]]] = None,
+        overlaps: Optional[List[Dict[str, float]]],
     ) -> None:
         """Forwarding decisions + handovers for one completed transmission.
 
@@ -1123,8 +933,6 @@ class ArrayMLoRaSimulation:
         """
         if transmission is None or not overhearers:
             return
-        if overlaps is None:
-            overlaps = self._bucket_overlaps(transmission)
         now = self.now
         scheme = self._scheme
         devices = self.scenario.devices
@@ -1151,9 +959,8 @@ class ArrayMLoRaSimulation:
                 rssis.append(rssi)
         if not receivers:
             return
-        count = len(receivers)
         decisions = scheme.on_overhear_batch(
-            [packet] * count, receivers, rssis, [capacity_model] * count, [now] * count
+            packet, receivers, rssis, capacity_model, now
         )
         for receiver, decision in zip(receivers, decisions):
             if decision.forward:

@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple
 
-from repro.engine.array_engine import ArrayMLoRaSimulation
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.registry import get_preset
-from repro.experiments.runner import MLoRaSimulation
+from repro.experiments.runner import run_engine
 from repro.experiments.scenario import build_scenario
-
-#: The two engine implementations under comparison.
-ENGINES: Dict[str, Type] = {"object": MLoRaSimulation, "array": ArrayMLoRaSimulation}
 
 #: Fleet fractions of the 960-bus urban-full scenario forming the ladder.
 LADDER_FRACTIONS: Tuple[float, ...] = (0.25, 0.5, 1.0)
@@ -53,14 +49,13 @@ def _timed_point(
 ) -> Tuple[float, int]:
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    engine = ENGINES[engine_name]
     best = float("inf")
     num_devices = 0
     for _ in range(rounds):
         scenario = build_scenario(config)
         num_devices = scenario.num_devices
         start = time.perf_counter()
-        engine(scenario).run()
+        run_engine(scenario, engine_name)
         best = min(best, time.perf_counter() - start)
     return best, num_devices
 

@@ -68,7 +68,8 @@ class ScenarioConfig:
 
     #: Which simulation engine executes the run; the default (the
     #: event-driven object engine) is the bit-exact oracle, and the array
-    #: engine is required to reproduce it identically.
+    #: engine is required to reproduce it identically, so the section is
+    #: never part of the cache key.
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
@@ -170,7 +171,6 @@ class ScenarioConfig:
         self,
         engine: Optional[str] = None,
         tick_s: Optional[float] = None,
-        strict_equivalence: Optional[bool] = None,
     ) -> "ScenarioConfig":
         """A copy running on a different simulation engine."""
         section = self.engine
@@ -178,8 +178,6 @@ class ScenarioConfig:
             section = section.with_engine(engine)
         if tick_s is not None:
             section = section.with_tick(tick_s)
-        if strict_equivalence is not None:
-            section = section.with_strict_equivalence(strict_equivalence)
         return replace(self, engine=section)
 
     def with_mobility(

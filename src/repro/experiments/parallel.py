@@ -49,7 +49,6 @@ from typing import (
 )
 
 from repro.analysis.metrics import RunMetrics
-from repro.engine.config import EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.experiments.serialization import scenario_from_dict, scenario_to_dict
@@ -61,13 +60,13 @@ from repro.routing.config import RoutingConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends → parallel)
     from repro.experiments.backends.base import ExecutionBackend, RetryPolicy
 
-#: The default radio/mobility/routing/engine sections, excluded from digests
-#: for cache stability (configurations that predate each subsystem keep
-#: their digests).
-_DEFAULT_RADIO_DICT = asdict(RadioConfig())
-_DEFAULT_MOBILITY_DICT = asdict(MobilityConfig())
-_DEFAULT_ROUTING_DICT = asdict(RoutingConfig())
-_DEFAULT_ENGINE_DICT = asdict(EngineConfig())
+#: Result-affecting sections omitted from the digest while they hold their
+#: defaults, so configurations that predate each subsystem keep their digests.
+_OMITTED_WHILE_DEFAULT = {
+    "radio": asdict(RadioConfig()),
+    "mobility": asdict(MobilityConfig()),
+    "routing": asdict(RoutingConfig()),
+}
 
 #: Derived seeds stay in the positive signed-64-bit range.
 _SEED_SPACE = 2**63
@@ -119,30 +118,24 @@ def _trace_file_content_digest(path: str) -> str:
 
 
 def config_digest(config: ScenarioConfig) -> str:
-    """A stable hex digest of every field of ``config`` (cache key material).
+    """A stable hex digest of every result-affecting field of ``config``.
 
-    The ``radio``, ``mobility`` and ``routing`` sections are omitted while
-    they hold their defaults (one channel fixed SF7; the London bus network;
-    the hardcoded pre-refactor scheme parameters and FIFO tail-drop buffer)
-    so that every configuration that existed before each subsystem keeps its
-    historical digest — archived sweep caches stay valid and the "same
-    digest → same RunMetrics" equivalence holds across the refactors.
-    Non-default radio, mobility or routing settings change simulation
-    behaviour and therefore the digest; a ``trace-file`` mobility section
-    additionally digests the trace file's contents, since those *are* the
-    scenario's mobility.
+    One rule: the ``engine`` section is never digested, and each section of
+    :data:`_OMITTED_WHILE_DEFAULT` is omitted while it holds its default.
+    The engines are result-identical (the differential harness in
+    ``tests/engine/`` is the proof), so a result stored by one engine is a
+    cache hit for the other; omitting default sections keeps the digests of
+    configurations that predate each subsystem.  A ``trace-file`` mobility
+    section additionally digests the trace file's contents, since those
+    *are* the scenario's mobility.
     """
     payload_dict = asdict(config)
-    if payload_dict.get("radio") == _DEFAULT_RADIO_DICT:
-        del payload_dict["radio"]
-    if payload_dict.get("routing") == _DEFAULT_ROUTING_DICT:
-        del payload_dict["routing"]
-    if payload_dict.get("engine") == _DEFAULT_ENGINE_DICT:
-        del payload_dict["engine"]
+    del payload_dict["engine"]
+    for section, default in _OMITTED_WHILE_DEFAULT.items():
+        if payload_dict[section] == default:
+            del payload_dict[section]
     mobility = payload_dict.get("mobility")
-    if mobility == _DEFAULT_MOBILITY_DICT:
-        del payload_dict["mobility"]
-    elif mobility and mobility.get("model") == "trace-file":
+    if mobility and mobility["model"] == "trace-file":
         mobility["trace_file_sha256"] = _trace_file_content_digest(
             mobility["trace_file"]
         )

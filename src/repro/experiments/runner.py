@@ -33,6 +33,7 @@ from dataclasses import replace as dataclass_replace
 from typing import Dict, Optional
 
 from repro.analysis.metrics import RunMetrics, compute_run_metrics
+from repro.engine.config import ENGINES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.mac.device import EndDevice
@@ -359,6 +360,22 @@ def account_idle_energy(scenario: BuiltScenario, duration_s: float) -> None:
         device.account_idle_period(max(active - (tx_time - overshoot), 0.0))
 
 
+def run_engine(scenario: BuiltScenario, engine: str) -> RunMetrics:
+    """Run a built scenario on the engine named ``engine``.
+
+    The name is taken as given: the ``REPRO_ENGINE`` override applies only
+    in :func:`run_scenario`, so a caller timing one engine against the other
+    always gets the engine it asked for.
+    """
+    if engine == "array":
+        from repro.engine.array_engine import ArrayMLoRaSimulation
+
+        return ArrayMLoRaSimulation(scenario).run()
+    if engine == "object":
+        return MLoRaSimulation(scenario).run()
+    raise ValueError(f"unknown engine {engine!r}; available: {list(ENGINES)}")
+
+
 def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """Build and run a scenario in one call.
 
@@ -368,9 +385,4 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """
     from repro.engine import resolve_engine_name
 
-    scenario = build_scenario(config)
-    if resolve_engine_name(config) == "array":
-        from repro.engine.array_engine import ArrayMLoRaSimulation
-
-        return ArrayMLoRaSimulation(scenario).run()
-    return MLoRaSimulation(scenario).run()
+    return run_engine(build_scenario(config), resolve_engine_name(config))

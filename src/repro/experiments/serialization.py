@@ -127,7 +127,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     Missing fields take their dataclass defaults (so hand-written scenario
     files only need to state what differs); unknown fields are an error so a
-    typo cannot silently fall back to a default.
+    typo cannot silently fall back to a default.  The one exception is
+    ``engine.strict_equivalence``, which older exports always wrote: ``true``
+    is the only engine behaviour left and is dropped, ``false`` asked for
+    the removed relaxed mode and is an error.
     """
     if not isinstance(data, Mapping):
         raise ScenarioFormatError(f"scenario must be a mapping, got {type(data).__name__}")
@@ -138,6 +141,16 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             f"unsupported scenario {_SCHEMA_KEY} {version!r} "
             f"(this build reads version {SCENARIO_SCHEMA_VERSION})"
         )
+    engine = payload.get("engine")
+    if isinstance(engine, Mapping) and "strict_equivalence" in engine:
+        engine = dict(engine)
+        strict = engine.pop("strict_equivalence")
+        if strict is not True:
+            raise ScenarioFormatError(
+                f"engine.strict_equivalence = {strict!r} asks for the relaxed "
+                "array-engine mode, which was removed; delete the field"
+            )
+        payload["engine"] = engine
     return _build_dataclass(ScenarioConfig, "scenario", payload)
 
 

@@ -15,7 +15,8 @@ Endpoints (all JSON)::
     POST /runs                {"preset": name} | {"scenario": {...}} |
                               {"cache_key": "..."}   → metrics | job handle
     GET  /jobs/<job_id>       job status (metrics included once done)
-    GET  /results/<cache_key> cached metrics only (404 on miss)
+    GET  /results/<cache_key> cached metrics only (404 on miss, 400 on a
+                              malformed key)
     GET  /summary             streaming aggregate over the whole store
 
 The HTTP layer is deliberately minimal — one request per connection, parsed
@@ -261,7 +262,10 @@ class CampaignService:
         raise ServiceError(404, f"no route for {method} {path}")
 
     def _get_result(self, cache_key: str) -> Tuple[int, Dict[str, Any]]:
-        metrics = self.executor.store.load(cache_key)
+        try:
+            metrics = self.executor.store.load(cache_key)
+        except ValueError as exc:  # a malformed client-supplied key
+            raise ServiceError(400, str(exc))
         if metrics is None:
             raise ServiceError(404, f"no stored result for {cache_key!r}")
         return 200, {

@@ -22,9 +22,14 @@ million-run campaigns:
 
 The on-disk layout shards entries into 256 subdirectories keyed by the first
 byte of the SHA-256 of the cache key (``<root>/<xx>/<key>.pkl``), keeping
-directory listings bounded at campaign scale.  The flat pre-campaign-engine
-layout (``<root>/<key>.pkl``) is still read — archived sweep caches keep
-working — while all new writes use the sharded layout.
+directory listings bounded at campaign scale.  There is no other layout:
+entries are recomputable, so the flat pre-sharding layout is not read.
+
+Keys come from outside the process (work-queue spools, the HTTP service),
+so every keyed operation first checks the key against the
+``v<schema>-<sha256>-<n|gateways>-<replicate>`` grammar of
+:meth:`~repro.experiments.parallel.RunSpec.cache_key` and raises
+:class:`ValueError` otherwise: a key can never name a path outside its shard.
 """
 
 from __future__ import annotations
@@ -32,12 +37,17 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Optional, Union
 
 from repro.analysis.metrics import RunMetrics
+
+
+#: The grammar of :meth:`repro.experiments.parallel.RunSpec.cache_key`.
+_KEY_PATTERN = re.compile(r"v\d+-[0-9a-f]{64}-(n|\d+)-\d+", re.ASCII)
 
 
 def _shard_name(key: str) -> str:
@@ -60,18 +70,20 @@ class ResultStore:
     # Paths
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
-        """The sharded on-disk location of ``key`` (where writes go)."""
-        return self.root / _shard_name(key) / f"{key}.pkl"
+        """The sharded on-disk location of ``key``.
 
-    def _legacy_path(self, key: str) -> Path:
-        # The flat layout used before the store was content-sharded.
-        return self.root / f"{key}.pkl"
+        Every keyed operation goes through here, so a malformed key raises
+        :class:`ValueError` before any file is touched.
+        """
+        if not isinstance(key, str) or not _KEY_PATTERN.fullmatch(key):
+            raise ValueError(f"malformed cache key {key!r}")
+        return self.root / _shard_name(key) / f"{key}.pkl"
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file() or self._legacy_path(key).is_file()
+        return self.path_for(key).is_file()
 
     def load(self, key: str) -> Optional[RunMetrics]:
         """The stored metrics for ``key``, or ``None`` when absent.
@@ -81,25 +93,23 @@ class ResultStore:
         every future execution re-read and re-discard it, silently turning a
         one-off truncation into a permanent cache miss.
         """
-        for path in (self.path_for(key), self._legacy_path(key)):
-            if not path.is_file():
-                continue
-            try:
-                with path.open("rb") as handle:
-                    metrics = handle.read()
-                metrics = pickle.loads(metrics)
-            except (pickle.UnpicklingError, EOFError, ValueError, IndexError):
-                self._discard_damaged(path)
-                continue
-            except OSError:
-                # Transient read failure (permissions, racing unlink): miss
-                # without destroying what may be a healthy entry.
-                continue
-            if not isinstance(metrics, RunMetrics):
-                self._discard_damaged(path)
-                continue
-            return metrics
-        return None
+        path = self.path_for(key)
+        if not path.is_file():
+            return None
+        try:
+            with path.open("rb") as handle:
+                metrics = pickle.loads(handle.read())
+        except (pickle.UnpicklingError, EOFError, ValueError, IndexError):
+            self._discard_damaged(path)
+            return None
+        except OSError:
+            # Transient read failure (permissions, racing unlink): miss
+            # without destroying what may be a healthy entry.
+            return None
+        if not isinstance(metrics, RunMetrics):
+            self._discard_damaged(path)
+            return None
+        return metrics
 
     @staticmethod
     def _discard_damaged(path: Path) -> None:
@@ -141,14 +151,13 @@ class ResultStore:
     # Enumeration and streaming aggregation
     # ------------------------------------------------------------------ #
     def iter_keys(self) -> Iterator[str]:
-        """Every stored cache key (sharded and legacy entries), streamed."""
+        """Every stored cache key, streamed (stray files are skipped)."""
         if not self.root.is_dir():
             return
-        for flat in sorted(self.root.glob("*.pkl")):
-            yield flat.stem
         for shard in sorted(p for p in self.root.iterdir() if p.is_dir()):
             for entry in sorted(shard.glob("*.pkl")):
-                yield entry.stem
+                if _KEY_PATTERN.fullmatch(entry.stem):
+                    yield entry.stem
 
     def iter_metrics(
         self, keys: Optional[Iterable[str]] = None

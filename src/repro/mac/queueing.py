@@ -193,11 +193,6 @@ class DataQueue:
         #: Messages removed by TTL expiry.
         self.expired_ttl = 0
 
-    @property
-    def dropped(self) -> int:
-        """Backward-compatible alias for :attr:`dropped_full`."""
-        return self.dropped_full
-
     def __len__(self) -> int:
         return len(self._messages)
 

@@ -75,36 +75,32 @@ class ForwardingScheme(ABC):
 
     def on_overhear_batch(
         self,
-        packets: Sequence[UplinkPacket],
+        packet: UplinkPacket,
         receivers: Sequence[EndDevice],
         rssi_dbm: Sequence[float],
-        capacity_models: Sequence[LinkCapacityModel],
-        nows: Sequence[float],
+        capacity_model: LinkCapacityModel,
+        now: float,
     ) -> List[ForwardingDecision]:
-        """Decide a whole batch of overheard (sender, receiver) pairs at once.
+        """Decide every overhearer of one transmission at once.
 
-        All five arguments are parallel sequences, one entry per overheard
-        pair: ``packets[k]`` is the uplink ``receivers[k]`` overheard at RSSI
-        ``rssi_dbm[k]`` (transmitter-side capacity model
-        ``capacity_models[k]``) at time ``nows[k]``.  A batch spans one
-        transmission — or, under relaxed-order slot batching, several
-        *independent* same-tick transmissions — so a receiver appears at most
-        once per transmission and decisions may be computed in any order.
+        ``receivers[k]`` overheard ``packet`` at RSSI ``rssi_dbm[k]``; the
+        transmitter-side ``capacity_model`` and the completion time ``now``
+        are shared by the whole batch.  A receiver appears at most once, and
+        the engine runs the resulting handovers afterwards in receiver
+        order.
 
         The engine only calls this hook when a scheme overrides it; schemes
-        that do not are driven through :meth:`on_overhear` one pair at a
-        time, interleaved with the resulting handovers exactly as before, so
-        custom registered schemes keep working unchanged.  Override it when
-        the scheme's decisions are independent across the receivers of one
-        transmission (true for all built-in schemes); the override must leave
-        scheme state exactly as the equivalent :meth:`on_overhear` loop
-        would.  This default implementation is that loop.
+        that do not are driven through :meth:`on_overhear` one receiver at a
+        time, interleaved with the resulting handovers, so custom registered
+        schemes keep working unchanged.  Override it when the scheme's
+        decisions are independent across the receivers of one transmission
+        (true for all built-in schemes); the override must leave scheme
+        state exactly as the equivalent :meth:`on_overhear` loop would.
+        This default implementation is that loop.
         """
         return [
-            self.on_overhear(receiver, packet, rssi, model, now)
-            for packet, receiver, rssi, model, now in zip(
-                packets, receivers, rssi_dbm, capacity_models, nows
-            )
+            self.on_overhear(receiver, packet, rssi, capacity_model, now)
+            for receiver, rssi in zip(receivers, rssi_dbm)
         ]
 
     def observe_transmission_slot(

@@ -44,11 +44,11 @@ class EpidemicScheme(ForwardingScheme):
 
     def on_overhear_batch(
         self,
-        packets: Sequence[UplinkPacket],
+        packet: UplinkPacket,
         receivers: Sequence[EndDevice],
         rssi_dbm: Sequence[float],
-        capacity_models: Sequence[LinkCapacityModel],
-        nows: Sequence[float],
+        capacity_model: LinkCapacityModel,
+        now: float,
     ) -> List[ForwardingDecision]:
         """Batched :meth:`on_overhear`: epidemic replication reads only each
         receiver's queue length, so the batch is a plain hoisted loop."""

@@ -113,28 +113,26 @@ class ProphetScheme(ForwardingScheme):
 
     def on_overhear_batch(
         self,
-        packets: Sequence[UplinkPacket],
+        packet: UplinkPacket,
         receivers: Sequence[EndDevice],
         rssi_dbm: Sequence[float],
-        capacity_models: Sequence[LinkCapacityModel],
-        nows: Sequence[float],
+        capacity_model: LinkCapacityModel,
+        now: float,
     ) -> List[ForwardingDecision]:
         """Batched :meth:`on_overhear` preserving the exact table-update order.
 
-        Pairs are processed in sequence order, so every aging/transitive
-        update to the predictability table happens at the same ``now`` and in
-        the same order as the scalar loop: the sender is aged once at its
-        first pair (repeat pairs of the same transmission re-age with
-        ``Δt = 0``, a no-op), and each receiver — which appears at most once
-        per batch — gets its transitive update exactly where the scalar path
-        applies it.
+        Receivers are processed in order, so every aging/transitive update to
+        the predictability table happens in the same order as the scalar
+        loop: the sender is aged at the first receiver (later re-agings run
+        at ``Δt = 0``, a no-op), and each receiver gets its transitive update
+        exactly where the scalar path applies it.
         """
         predictability = self.predictability
         beta = self.beta
         max_handover = self.max_handover_messages
         decisions: List[ForwardingDecision] = []
         append = decisions.append
-        for packet, receiver, now in zip(packets, receivers, nows):
+        for receiver in receivers:
             sender_pred = predictability(packet.sender, now)
             receiver_id = receiver.device_id
             receiver_pred = predictability(receiver_id, now)

@@ -70,40 +70,45 @@ class ROBCScheme(ForwardingScheme):
 
     def on_overhear_batch(
         self,
-        packets: Sequence[UplinkPacket],
+        packet: UplinkPacket,
         receivers: Sequence[EndDevice],
         rssi_dbm: Sequence[float],
-        capacity_models: Sequence[LinkCapacityModel],
-        nows: Sequence[float],
+        capacity_model: LinkCapacityModel,
+        now: float,
     ) -> List[ForwardingDecision]:
         """Batched :meth:`on_overhear`: same arithmetic, hoisted ϕ clamping.
 
         ROBC reads only the receiver's queue/estimator and the packet
         snapshot, so decisions are independent across the receivers of one
-        transmission — exactly the batch-hook contract.  The ϕ bounds and the
-        backpressure weight/δ are computed inline in the identical operation
-        order as :func:`~repro.core.robc.robc_transfer_amount`, which keeps
-        the verdicts bit-identical to the scalar path.
+        transmission — exactly the batch-hook contract.  The sender's ϕ is
+        clamped once per batch; each receiver's ϕ and the backpressure
+        weight/δ are computed inline in the identical operation order as
+        :func:`~repro.core.robc.robc_transfer_amount`, which keeps the
+        verdicts bit-identical to the scalar path.
         """
+        neighbour_metric = packet.rca_etx_s
+        neighbour_queue = packet.queue_length
+        if neighbour_metric is None or neighbour_queue is None:
+            return [NO_DECISION] * len(receivers)
         phi_min = self.rgq.phi_min
         phi_max = self.rgq.phi_max
+        phi_neighbour = (
+            phi_max
+            if neighbour_metric == 0
+            else min(max(1.0 / neighbour_metric, phi_min), phi_max)
+        )
+        neighbour_q = float(neighbour_queue)
         max_handover = self.max_handover_messages
+        is_connected = capacity_model.is_connected
         floor = math.floor
         decisions: List[ForwardingDecision] = []
         append = decisions.append
-        for packet, receiver, rssi, model in zip(
-            packets, receivers, rssi_dbm, capacity_models
-        ):
-            neighbour_metric = packet.rca_etx_s
-            neighbour_queue = packet.queue_length
-            if neighbour_metric is None or neighbour_queue is None:
-                append(NO_DECISION)
-                continue
+        for receiver, rssi in zip(receivers, rssi_dbm):
             own_queue = len(receiver.queue)
             if not own_queue:
                 append(NO_DECISION)
                 continue
-            if not model.is_connected(rssi):
+            if not is_connected(rssi):
                 append(NO_DECISION)
                 continue
             own_metric = receiver.rca_etx.sink_metric()
@@ -112,13 +117,7 @@ class ROBCScheme(ForwardingScheme):
                 if own_metric == 0
                 else min(max(1.0 / own_metric, phi_min), phi_max)
             )
-            phi_neighbour = (
-                phi_max
-                if neighbour_metric == 0
-                else min(max(1.0 / neighbour_metric, phi_min), phi_max)
-            )
             own_q = float(own_queue)
-            neighbour_q = float(neighbour_queue)
             if own_q / phi_own - neighbour_q / phi_neighbour <= 0:
                 append(NO_DECISION)
                 continue

@@ -87,11 +87,11 @@ class SprayAndWaitScheme(ForwardingScheme):
 
     def on_overhear_batch(
         self,
-        packets: Sequence[UplinkPacket],
+        packet: UplinkPacket,
         receivers: Sequence[EndDevice],
         rssi_dbm: Sequence[float],
-        capacity_models: Sequence[LinkCapacityModel],
-        nows: Sequence[float],
+        capacity_model: LinkCapacityModel,
+        now: float,
     ) -> List[ForwardingDecision]:
         """Batched :meth:`on_overhear` with the ticket scan inlined.
 

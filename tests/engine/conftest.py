@@ -15,8 +15,6 @@ static traces.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -38,29 +36,6 @@ from repro.phy.pathloss import LogDistancePathLoss
 from repro.radio.sf_policy import RadioAssignment
 from repro.routing import build_scheme
 from repro.sim.randomness import RandomStreams
-
-ENGINES = {"object": MLoRaSimulation, "array": ArrayMLoRaSimulation}
-
-
-def fingerprint(metrics) -> str:
-    """A SHA-256 over every raw field of a RunMetrics (order-independent).
-
-    Same payload as the goldens in ``tests/experiments``; restated here so
-    the engine suite cannot drift with those modules.
-    """
-    payload = {
-        "scheme": metrics.scheme,
-        "messages_generated": metrics.messages_generated,
-        "messages_delivered": metrics.messages_delivered,
-        "delays_s": metrics.delays_s,
-        "hop_counts": metrics.hop_counts,
-        "delivery_times_s": metrics.delivery_times_s,
-        "transmissions_per_device": metrics.transmissions_per_device,
-        "energy_joules_per_device": metrics.energy_joules_per_device,
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    ).hexdigest()
 
 
 def build_manual_scenario(
@@ -136,11 +111,6 @@ def build_manual_scenario(
 def manual_scenario():
     """Factory fixture: hand-built scenarios for edge-case tests."""
     return build_manual_scenario
-
-
-@pytest.fixture
-def metrics_fingerprint():
-    return fingerprint
 
 
 @pytest.fixture

@@ -19,9 +19,9 @@ Idle time must be ``99 A`` (the gap between the frames, ``t2 - A``), not the
 
 import pytest
 
-from repro.engine.array_engine import ArrayMLoRaSimulation
+from repro.engine import ENGINES
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import MLoRaSimulation
+from repro.experiments.runner import run_engine
 from repro.mac.frames import METRIC_FIELD_BYTES, PACKET_OVERHEAD_BYTES
 from repro.mobility.geometry import Point
 from repro.phy.constants import SpreadingFactor
@@ -29,8 +29,6 @@ from repro.phy.energy import RadioState
 from repro.radio.medium import RadioMedium
 
 from repro.experiments.runner import account_idle_energy  # noqa: F401  (unit under test)
-
-ENGINES = {"object": MLoRaSimulation, "array": ArrayMLoRaSimulation}
 
 #: Airtime of a single-message uplink: 13 B overhead + 4 B RCA metric + 20 B.
 BUNDLE_BYTES = PACKET_OVERHEAD_BYTES + METRIC_FIELD_BYTES + 20
@@ -63,7 +61,7 @@ class TestFinalPartialFrame:
         # Frame 1 at [0, A]; retry at the duty-cycle boundary 100 A runs past
         # the end of the window at 100.5 A.
         scenario = _out_of_range_scenario(manual_scenario, 100.5 * AIRTIME)
-        ENGINES[engine](scenario).run()
+        run_engine(scenario, engine)
         device = scenario.devices["bus-000"]
         assert device.stats.uplink_transmissions == 2
         assert device.energy.seconds_in(RadioState.TX) == pytest.approx(
@@ -77,7 +75,7 @@ class TestFinalPartialFrame:
         # Same scenario but the window closes after frame 2 completes: no
         # overshoot, idle is the plain active - tx_time difference.
         scenario = _out_of_range_scenario(manual_scenario, 101.5 * AIRTIME)
-        ENGINES[engine](scenario).run()
+        run_engine(scenario, engine)
         device = scenario.devices["bus-000"]
         assert device.stats.uplink_transmissions == 2
         assert device.last_uplink_end < scenario.config.duration_s

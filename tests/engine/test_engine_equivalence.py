@@ -102,7 +102,6 @@ STRESS_CASES = {
         policy="priority-age", capacity=8
     ),
     "tick-7s": BASE.with_scheme("robc").with_engine(tick_s=7.0),
-    "relaxed": BASE.with_scheme("rca-etx").with_engine(strict_equivalence=False),
 }
 
 

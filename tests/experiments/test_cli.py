@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import ENGINE_ENV_VAR
 from repro.experiments.cli import build_executor, main, run_sweep, run_target
 from repro.experiments.figures import SMOKE_SCALE, run_density_sweep
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
@@ -74,6 +75,17 @@ class TestEquivalence:
         executor = build_executor(workers=1, cache_dir=str(tmp_path))
         first = run_target("urban-smoke", executor=executor)
         second = run_target("urban-smoke", executor=build_executor(1, str(tmp_path)))
+        assert not first.from_cache
+        assert second.from_cache
+        assert second.metrics == first.metrics
+
+    def test_array_engine_is_served_an_object_engine_result(self, tmp_path, monkeypatch):
+        """The engine is result-neutral, so it is not part of the cache key:
+        `--engine array` reuses what the object engine stored."""
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        executor = build_executor(workers=1, cache_dir=str(tmp_path))
+        first = run_target("urban-smoke", executor)
+        second = run_target("urban-smoke", executor, engine="array")
         assert not first.from_cache
         assert second.from_cache
         assert second.metrics == first.metrics

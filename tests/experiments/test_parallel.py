@@ -11,7 +11,10 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import ENGINES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     RunSpec,
@@ -27,6 +30,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweeps import run_gateway_sweep, run_replications
 from repro.mobility.config import MobilityConfig
+from repro.routing import scheme_names
 
 
 @pytest.fixture(scope="module")
@@ -127,17 +131,6 @@ class TestSweepExecutor:
         # to be re-read and re-discarded on every future execution.
         assert pickle.loads(path.read_bytes()) == good.metrics
         assert executor.run([spec])[0].from_cache
-
-    def test_corrupt_legacy_flat_entry_is_unlinked(self, tiny_config, tmp_path):
-        # The pre-campaign-engine cache layout was flat; a truncated legacy
-        # entry must also be removed on load failure instead of lingering.
-        executor = SweepExecutor(workers=1, cache_dir=tmp_path)
-        spec = RunSpec(config=tiny_config)
-        legacy = tmp_path / f"{spec.cache_key()}.pkl"
-        legacy.write_bytes(b"\x80\x04truncated")
-        outcome = executor.run([spec])[0]
-        assert not outcome.from_cache
-        assert not legacy.exists()
 
     def test_iter_outcomes_streams_and_caches(self, tiny_config, tmp_path):
         specs = sweep_specs(tiny_config, (2, 3), ("no-routing",), (1000.0,))
@@ -308,3 +301,61 @@ class TestConfigDigest:
         assert config_digest(with_trace("/missing/a.csv")) != config_digest(
             with_trace("/missing/b.csv")
         )
+
+
+# --------------------------------------------------------------------- #
+# The cache-key contract: same key <=> same RunMetrics
+# --------------------------------------------------------------------- #
+_MODELS = ("london-bus", "random-waypoint", "grid-manhattan")
+_POLICIES = ("drop-new", "drop-oldest", "priority-age")
+_TICKS = (7.0, 30.0, 120.0)
+
+
+def _other(values, current):
+    return next(value for value in values if value != current)
+
+
+#: One mutation per result-affecting field; each must move the cache key.
+RESULT_AFFECTING = {
+    "seed": lambda c: c.with_seed(c.seed + 1),
+    "scheme": lambda c: c.with_scheme(_other(scheme_names(), c.scheme)),
+    "num_gateways": lambda c: c.with_gateways(c.num_gateways + 1),
+    "duration_s": lambda c: dataclasses.replace(c, duration_s=c.duration_s + 60.0),
+    "radio.num_channels": lambda c: c.with_radio(num_channels=c.radio.num_channels + 1),
+    "mobility.model": lambda c: c.with_mobility(model=_other(_MODELS, c.mobility.model)),
+    "routing.buffer.policy": lambda c: c.with_buffer(
+        policy=_other(_POLICIES, c.routing.buffer.policy)
+    ),
+}
+
+
+@st.composite
+def scenario_configs(draw) -> ScenarioConfig:
+    return (
+        ScenarioConfig(
+            seed=draw(st.integers(0, 2**31)),
+            scheme=draw(st.sampled_from(scheme_names())),
+            num_gateways=draw(st.integers(1, 100)),
+            duration_s=float(draw(st.integers(60, 86_400))),
+        )
+        .with_radio(num_channels=draw(st.integers(1, 8)))
+        .with_mobility(model=draw(st.sampled_from(_MODELS)))
+        .with_buffer(policy=draw(st.sampled_from(_POLICIES)))
+        .with_engine(draw(st.sampled_from(ENGINES)), tick_s=draw(st.sampled_from(_TICKS)))
+    )
+
+
+def _key(config: ScenarioConfig) -> str:
+    return RunSpec(config=config).cache_key()
+
+
+class TestCacheKeyContract:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_configs(), st.sampled_from(ENGINES), st.sampled_from(_TICKS))
+    def test_execution_knobs_leave_the_key_unchanged(self, config, engine, tick_s):
+        assert _key(config.with_engine(engine, tick_s=tick_s)) == _key(config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_configs(), st.sampled_from(sorted(RESULT_AFFECTING)))
+    def test_result_affecting_fields_change_the_key(self, config, field):
+        assert _key(RESULT_AFFECTING[field](config)) != _key(config)

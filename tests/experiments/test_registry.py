@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import EngineConfig
 from repro.experiments.figures import BENCHMARK_SCALE, CAMPAIGN_SCALE, SMOKE_SCALE
 from repro.experiments.registry import (
     SCALE_PRESETS,
@@ -18,11 +19,43 @@ from repro.experiments.registry import (
     resolve_scenario,
     sweep_names,
 )
+from repro.experiments.parallel import config_digest
 from repro.experiments.scenario import build_scenario
 from repro.mac.device_classes import DeviceClass
 from repro.routing import SCHEME_REGISTRY
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Every preset's digest under the previous rule (which also digested any
+#: non-default engine section), taken with the engine section reset to its
+#: default.  The engine is never digested now, so each preset must still
+#: hash to exactly this value.
+PRESET_DIGESTS = {
+    "dense-gateways": "58a0e4f839e9d6937ba41c2e2726de8412f53c84b758f970fa21488887501206",
+    "epidemic-urban": "053d0f7a3e797e2c5331125adc73bb6bd695868e44ae2e953c7888fd3a1ff53a",
+    "mega-fleet": "5ab88e9ec77d7eab7add6de9f089967fac581b426d7f2a22249008a9da1978d1",
+    "megacity-10k": "7c87fa85e349cd7a8763d8d78ac073d5f8eaad5e8b908d51894ad4293c889d16",
+    "quickstart": "84e783aac68387821d5afa9357f61048c9adec48090fc1d1fc6b117331a8e6c1",
+    "rural": "094417b0973dbab7f9abdd2ea9a67d9ee070ad5a710d84f07853080b592af50e",
+    "rural-full": "e9e69c296db1fbefa5083d4539373d828636f78f55f5ed179f3f1e9ea53f62ed",
+    "rural-smoke": "41767ee01d0a9ce0a34e1e2efbc2ce4edf2d19be47f04b1a2744000e8ec21ee2",
+    "sparse-gateways": "bcb805ab14148c40c575618078d1fcfe968d0ec9ed9d0ad1b26a36cae0f70850",
+    "spray-and-wait-urban": "ace3e7a590fc8e9b003ca4acee90d802ad383e3b5be59598098ba092de118e09",
+    "urban": "df1af1e3c5b272f04e810ac0ae1d3dc410beae790b8084a2257adf05fe327d44",
+    "urban-buffer-pressure": "f480148aa78eb0844cf4c552fb97db46b3cb3f3d5904b2899c8eab6e86db985f",
+    "urban-class-a": "30c1237edc1c2461762e89006573ad4f6e28de4ed5e14d083bd60d876c95bc3d",
+    "urban-full": "d6d56080154cf87c1f8934bffab26203fd02fdc131c35fb71b5b7b239dc3f4b5",
+    "urban-manhattan": "4497eb0098a91e0d109a375d2248e05ed8d62c0fd1cdce7d8592b50474058a7c",
+    "urban-multisf": "1076cfc638cd8e244813f0399a4a0a0bad7a4143941983563c8438c15f930d6d",
+    "urban-prophet": "fc9c76b8a5908a250927a8871c271c01e6a30904d50c1141f32e762683b1c2ca",
+    "urban-random-placement": "7c5596cb6e6a97c8d57fa23861623746306849fbb1377bcbefeaa7a502707d53",
+    "urban-rwp": "7d0c299df2f64fdc4692ba0ad08a3190c118dc4cb5e65562b2e833b4fc898b6a",
+    "urban-smoke": "8bcfec0f40ee69d06a3fce4e434b171cc8dddb1920e47d3241e233ce163060c9",
+}
+
+#: Presets pinned to a non-default engine: the only ones whose digest moved
+#: when the engine section left the digest.
+ENGINE_PINNED_PRESETS = {"megacity-10k"}
 
 
 class TestPresets:
@@ -114,6 +147,20 @@ class TestPresets:
         assert resolve_scenario(str(upper)) == get_preset("rural").config
         with pytest.raises(KeyError, match="neither"):
             resolve_scenario("not-a-preset")
+
+
+class TestPresetDigests:
+    def test_every_preset_keeps_its_digest(self):
+        assert sorted(PRESET_DIGESTS) == preset_names()
+        for preset in iter_presets():
+            assert config_digest(preset.config) == PRESET_DIGESTS[preset.name], preset.name
+
+    def test_only_engine_pinned_presets_moved(self):
+        moved = {
+            preset.name for preset in iter_presets()
+            if preset.config.engine != EngineConfig()
+        }
+        assert moved == ENGINE_PINNED_PRESETS
 
 
 class TestOverrides:

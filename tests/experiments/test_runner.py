@@ -1,7 +1,37 @@
 """Unit/functional tests for the simulation engine."""
 
-from repro.experiments.runner import MLoRaSimulation, run_scenario
+import pytest
+
+from repro.engine import ENGINE_ENV_VAR
+from repro.engine.array_engine import ArrayMLoRaSimulation
+from repro.experiments.runner import MLoRaSimulation, run_engine, run_scenario
 from repro.experiments.scenario import build_scenario
+
+#: Each engine class paired with the class ``run_engine`` must not touch.
+_ENGINE_CLASSES = {"object": MLoRaSimulation, "array": ArrayMLoRaSimulation}
+
+
+class TestRunEngine:
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CLASSES))
+    def test_named_engine_wins_over_the_environment(
+        self, small_scenario_config, monkeypatch, name
+    ):
+        # A bench timing one engine against the other must get the engine
+        # it named even when REPRO_ENGINE pushes everything to the other.
+        other = "array" if name == "object" else "object"
+        monkeypatch.setenv(ENGINE_ENV_VAR, other)
+
+        def refuse(self):
+            raise AssertionError(f"run_engine({name!r}) ran the {other} engine")
+
+        monkeypatch.setattr(_ENGINE_CLASSES[other], "run", refuse)
+        metrics = run_engine(build_scenario(small_scenario_config), name)
+        assert metrics.messages_generated > 0
+
+    def test_unknown_engine_is_rejected(self, small_scenario_config):
+        scenario = build_scenario(small_scenario_config)
+        with pytest.raises(ValueError, match="unknown engine 'gpu'.*'array'"):
+            run_engine(scenario, "gpu")
 
 
 class TestRunScenario:

@@ -7,6 +7,7 @@ originals.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -198,3 +199,46 @@ class TestValidation:
             scenario_from_toml("= broken")
         with pytest.raises(ScenarioFormatError, match="mapping"):
             scenario_from_json("[1, 2]")
+
+
+class TestRemovedStrictEquivalence:
+    """Files exported before relaxed mode was removed carry
+    ``engine.strict_equivalence``: ``true`` loads as if absent, ``false``
+    (the removed mode) is refused."""
+
+    CONFIG = ScenarioConfig().with_engine("array", tick_s=7.0)
+
+    def _write(self, tmp_path, suffix, value):
+        path = tmp_path / f"exported{suffix}"
+        if suffix == ".json":
+            data = scenario_to_dict(self.CONFIG)
+            data["engine"]["strict_equivalence"] = value
+            path.write_text(json.dumps(data), encoding="utf-8")
+        else:
+            flag = "true" if value else "false"
+            text = scenario_to_toml(self.CONFIG).replace(
+                "[engine]\n", f"[engine]\nstrict_equivalence = {flag}\n"
+            )
+            assert "strict_equivalence" in text
+            path.write_text(text, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    def test_true_loads_as_if_absent(self, tmp_path, suffix):
+        loaded = load_scenario(self._write(tmp_path, suffix, True))
+        assert loaded == self.CONFIG
+        assert RunSpec(config=loaded).cache_key() == RunSpec(config=self.CONFIG).cache_key()
+
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    def test_false_is_rejected_naming_the_field(self, tmp_path, suffix):
+        with pytest.raises(ScenarioFormatError, match="strict_equivalence.*removed"):
+            load_scenario(self._write(tmp_path, suffix, False))
+
+    @pytest.mark.parametrize("value", [1, "true", None], ids=["one", "string", "null"])
+    def test_only_boolean_true_is_dropped(self, value):
+        # Only the literal ``true`` older exports wrote is accepted; a truthy
+        # stand-in is not silently read as it.
+        data = scenario_to_dict(self.CONFIG)
+        data["engine"]["strict_equivalence"] = value
+        with pytest.raises(ScenarioFormatError, match="strict_equivalence"):
+            scenario_from_dict(data)

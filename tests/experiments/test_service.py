@@ -6,6 +6,7 @@ and the drain loop are all exercised exactly as a deployment would.
 """
 
 import json
+import pickle
 import threading
 import time
 import urllib.error
@@ -119,14 +120,28 @@ class TestService:
         assert 0.0 <= payload["delivery_ratio"] <= 1.0
 
     def test_unknown_cache_key_is_a_404_not_a_job(self, service):
+        absent = f"v1-{'0' * 64}-n-0"
+        status, payload = _request(service, "POST", "/runs", {"cache_key": absent})
+        assert status == 404
+        status, _ = _request(service, "GET", f"/results/{absent}")
+        assert status == 404
+        status, _ = _request(service, "GET", f"/jobs/{absent}")
+        assert status == 404
+
+    def test_traversal_key_is_a_400_and_touches_no_file(self, service):
+        """A client key naming a file outside the store is rejected before
+        the store unpickles — or, for a non-RunMetrics pickle, deletes — it."""
+        planted = service.executor.store.root.parent / "planted.pkl"
+        planted.write_bytes(pickle.dumps({"not": "RunMetrics"}))
         status, payload = _request(
-            service, "POST", "/runs", {"cache_key": "v-absent"}
+            service, "POST", "/runs", {"cache_key": "../planted"}
         )
-        assert status == 404
-        status, _ = _request(service, "GET", "/results/v-absent")
-        assert status == 404
-        status, _ = _request(service, "GET", "/jobs/v-absent")
-        assert status == 404
+        assert status == 400
+        assert "malformed cache key" in payload["error"]
+        status, payload = _request(service, "GET", "/results/../planted")
+        assert status == 400
+        assert "malformed cache key" in payload["error"]
+        assert planted.exists()
 
     def test_bad_requests(self, service):
         status, payload = _request(service, "POST", "/runs", {"preset": "no-such"})

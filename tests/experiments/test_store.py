@@ -1,5 +1,6 @@
 """Unit tests for the content-addressed result store and streaming accumulator."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.store import MetricsAccumulator, ResultStore
+
+
+def _key(tag: str) -> str:
+    """A well-formed cache key (the grammar of ``RunSpec.cache_key``)."""
+    return f"v1-{hashlib.sha256(tag.encode()).hexdigest()}-n-0"
 
 
 @pytest.fixture(scope="module")
@@ -29,58 +35,73 @@ def tiny_metrics():
 class TestResultStore:
     def test_roundtrip(self, tiny_metrics, tmp_path):
         store = ResultStore(tmp_path)
-        store.store("k1", tiny_metrics)
-        assert "k1" in store
-        assert store.load("k1") == tiny_metrics
+        store.store(_key("k1"), tiny_metrics)
+        assert _key("k1") in store
+        assert store.load(_key("k1")) == tiny_metrics
 
     def test_miss_returns_none(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.load("absent") is None
-        assert "absent" not in store
+        assert store.load(_key("absent")) is None
+        assert _key("absent") not in store
 
     def test_layout_is_sharded_and_atomic(self, tiny_metrics, tmp_path):
         store = ResultStore(tmp_path)
-        store.store("some-key", tiny_metrics)
-        path = store.path_for("some-key")
+        store.store(_key("some-key"), tiny_metrics)
+        path = store.path_for(_key("some-key"))
         assert path.parent.parent == tmp_path
         assert len(path.parent.name) == 2  # two-hex-char shard
         # No temp files left behind by the write-then-rename protocol.
         assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
-            "some-key.pkl"
+            f"{_key('some-key')}.pkl"
         ]
 
     def test_corrupt_entry_is_unlinked_on_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        path = store.path_for("bad")
+        path = store.path_for(_key("bad"))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"garbage that is not a pickle")
-        assert store.load("bad") is None
+        assert store.load(_key("bad")) is None
         assert not path.exists()
 
     def test_wrong_type_entry_is_unlinked_on_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        path = store.path_for("wrong")
+        path = store.path_for(_key("wrong"))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps({"not": "RunMetrics"}))
-        assert store.load("wrong") is None
+        assert store.load(_key("wrong")) is None
         assert not path.exists()
 
-    def test_reads_legacy_flat_layout(self, tiny_metrics, tmp_path):
-        (tmp_path / "old-key.pkl").write_bytes(pickle.dumps(tiny_metrics))
-        store = ResultStore(tmp_path)
-        assert store.load("old-key") == tiny_metrics
-        assert "old-key" in store
+    @pytest.mark.parametrize(
+        "key",
+        ["../x", "../../etc/passwd", "k1", _key("k") + "/../x", _key("k") + "\n", ""],
+        ids=["parent", "grandparent", "bare", "suffix-traversal", "newline", "empty"],
+    )
+    def test_malformed_keys_are_rejected(self, tiny_metrics, tmp_path, key):
+        store = ResultStore(tmp_path / "store")
+        for operation in (
+            lambda: store.load(key),
+            lambda: key in store,
+            lambda: store.store(key, tiny_metrics),
+        ):
+            with pytest.raises(ValueError, match="malformed cache key"):
+                operation()
+        assert not tmp_path.joinpath("store").exists()
 
-    def test_iter_keys_covers_both_layouts(self, tiny_metrics, tmp_path):
-        (tmp_path / "flat.pkl").write_bytes(pickle.dumps(tiny_metrics))
+    def test_iter_keys_lists_only_sharded_entries(self, tiny_metrics, tmp_path):
         store = ResultStore(tmp_path)
-        store.store("sharded", tiny_metrics)
-        assert sorted(store.iter_keys()) == ["flat", "sharded"]
+        store.store(_key("a"), tiny_metrics)
+        store.store(_key("b"), tiny_metrics)
+        # Neither a flat pre-sharding entry nor a stray file in a shard is a
+        # stored key; listing one would make summarize() raise on it.
+        (tmp_path / f"{_key('flat')}.pkl").write_bytes(pickle.dumps(tiny_metrics))
+        (store.path_for(_key("a")).parent / "stray.pkl").write_bytes(b"")
+        assert sorted(store.iter_keys()) == sorted([_key("a"), _key("b")])
+        assert store.summarize()["runs"] == 2
 
     def test_summarize(self, tiny_metrics, tmp_path):
         store = ResultStore(tmp_path)
-        store.store("a", tiny_metrics)
-        store.store("b", tiny_metrics)
+        store.store(_key("a"), tiny_metrics)
+        store.store(_key("b"), tiny_metrics)
         summary = store.summarize()
         assert summary["runs"] == 2
         assert summary["messages_generated"] == 2 * tiny_metrics.messages_generated

@@ -78,7 +78,7 @@ class TestForwardingMechanics:
         simulation = MLoRaSimulation(scenario)
         metrics = simulation.run()
         queued = sum(len(d.queue) for d in scenario.devices.values())
-        dropped = sum(d.queue.dropped for d in scenario.devices.values())
+        dropped = sum(d.queue.dropped_full for d in scenario.devices.values())
         total = metrics.messages_delivered + queued + dropped
         assert total >= metrics.messages_generated
 

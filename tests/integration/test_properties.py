@@ -107,7 +107,7 @@ class TestQueueProperties:
         for i in range(pushes):
             queue.push(DataMessage(source="bus", created_at=float(i)))
         assert len(queue) <= capacity
-        assert len(queue) + queue.dropped == pushes
+        assert len(queue) + queue.dropped_full == pushes
 
     @given(st.integers(min_value=1, max_value=50))
     def test_fifo_order_preserved(self, count):

@@ -45,7 +45,7 @@ class TestDataQueue:
         assert queue.push(_message(1))
         assert queue.push(_message(2))
         assert not queue.push(_message(3))
-        assert queue.dropped == 1
+        assert queue.dropped_full == 1
         assert queue.is_full
 
     def test_duplicate_and_capacity_counters_are_split(self):
@@ -58,7 +58,6 @@ class TestDataQueue:
         assert not queue.push(_message(2))
         assert queue.rejected_duplicate == 1
         assert queue.dropped_full == 1
-        assert queue.dropped == queue.dropped_full
 
     def test_peek_preserves_fifo_order_without_removal(self):
         queue = DataQueue()

@@ -85,8 +85,7 @@ def test_batch_matches_scalar_for_every_scheme():
 
         receivers_b, rssi_b, models_b = _world()
         batch = batch_scheme.on_overhear_batch(
-            [packet] * len(receivers_b), receivers_b, rssi_b, models_b,
-            [NOW] * len(receivers_b),
+            packet, receivers_b, rssi_b, CAPACITY, NOW
         )
 
         assert _decision_tuples(batch) == _decision_tuples(scalar), name
@@ -119,8 +118,7 @@ def test_prophet_batch_preserves_update_order():
     ]
     receivers_b, rssi_b, models_b = _world()
     batch = batch_scheme.on_overhear_batch(
-        [packet] * len(receivers_b), receivers_b, rssi_b, models_b,
-        [NOW] * len(receivers_b),
+        packet, receivers_b, rssi_b, CAPACITY, NOW
     )
     assert _decision_tuples(batch) == _decision_tuples(scalar)
     assert _scheme_state(batch_scheme) == _scheme_state(scalar_scheme)
