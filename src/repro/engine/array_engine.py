@@ -231,7 +231,7 @@ class ArrayMLoRaSimulation:
             positions[i] = trace.positions_at(clamped)
             times = trace._times_array
             if times.size > 1:
-                steps = np.hypot(np.diff(trace._xs), np.diff(trace._ys))
+                steps = np.hypot(np.diff(trace._xs_array), np.diff(trace._ys_array))
                 speed = float(np.max(steps / np.diff(times)))
             else:
                 speed = 0.0
@@ -290,13 +290,13 @@ class ArrayMLoRaSimulation:
         self._active_end_arr = np.asarray(self._trace_end, dtype=float)
         self._rx_static_masks: Dict[Tuple[int, int], np.ndarray] = {}
         self._tick_rx_masks: Dict[Tuple[int, int], np.ndarray] = {}
-        # Exact survivor-stage state: plain-Python trace samples (bisect +
-        # scalar interpolation, the same arithmetic as ``position_at``) and
-        # the transmitter-side link model.
+        # Exact survivor-stage state: the traces' float-sequence sample views
+        # (bisect + scalar interpolation, the same arithmetic as
+        # ``position_at``) and the transmitter-side link model.
         traces = self._traces
         self._trace_times = [t._times for t in traces]
-        self._trace_xs = [t._xs.tolist() for t in traces]
-        self._trace_ys = [t._ys.tolist() for t in traces]
+        self._trace_xs = [t._xs for t in traces]
+        self._trace_ys = [t._ys for t in traces]
         self._tx_power = topology.config.tx_power_dbm
         self._device_range = device_range
         self._received_power = topology.path_loss.received_power_dbm

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Type, Union
@@ -87,9 +88,7 @@ class LondonBusModel(MobilityModel):
         traces: Dict[str, MobilityTrace] = {}
         for index, trip in enumerate(timetable.trips):
             node_id = f"bus-{index:04d}"
-            traces[node_id] = MobilityTrace(
-                points=build_trip_trace(trip).points, node_id=node_id
-            )
+            traces[node_id] = build_trip_trace(trip, node_id=node_id)
         return MobilityBuild(bounding_box=generator.bounding_box, traces=traces)
 
 
@@ -203,12 +202,13 @@ class TraceFileModel(MobilityModel):
 
 
 def _enclosing_box(traces: Mapping[str, MobilityTrace]) -> BoundingBox:
-    points = [p.position for trace in traces.values() for p in trace.points]
+    xs = np.concatenate([trace._xs_array for trace in traces.values()])
+    ys = np.concatenate([trace._ys_array for trace in traces.values()])
     return BoundingBox(
-        min_x=min(p.x for p in points),
-        min_y=min(p.y for p in points),
-        max_x=max(p.x for p in points),
-        max_y=max(p.y for p in points),
+        min_x=float(xs.min()),
+        min_y=float(ys.min()),
+        max_x=float(xs.max()),
+        max_y=float(ys.max()),
     )
 
 
@@ -224,7 +224,8 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
 
     Nodes appear in the result in order of first appearance; each node's
     samples may be interleaved with other nodes' but must carry unique
-    timestamps (enforced by :class:`MobilityTrace`).
+    timestamps (enforced by :class:`MobilityTrace`).  Every time and
+    coordinate must be a finite number.
     """
     source = Path(path)
     try:
@@ -241,9 +242,10 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
     for line, row in enumerate(reader, start=2):
         try:
             node_id = row["node_id"]
-            point = TracePoint(
-                float(row["time_s"]), Point(float(row["x_m"]), float(row["y_m"]))
-            )
+            time, x, y = (float(row[field]) for field in TRACE_CSV_FIELDS[1:])
+            if not all(map(math.isfinite, (time, x, y))):
+                raise ValueError(f"non-finite sample ({time}, {x}, {y})")
+            point = TracePoint(time, Point(x, y))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace file {source}, line {line}: {exc}") from exc
         if not node_id:
@@ -265,13 +267,9 @@ def save_traces_csv(
     target.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(TRACE_CSV_FIELDS)]
     for node_id, trace in traces.items():
-        for point in trace.points:
-            # Cast through float: generator-produced coordinates may be numpy
-            # scalars, whose repr is not a parseable number.
-            lines.append(
-                f"{node_id},{float(point.time)!r},"
-                f"{float(point.position.x)!r},{float(point.position.y)!r}"
-            )
+        for time, x, y in zip(trace._times, trace._xs, trace._ys):
+            # A float's repr is the shortest string that parses back to it.
+            lines.append(f"{node_id},{float(time)!r},{float(x)!r},{float(y)!r}")
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return target
 

@@ -10,11 +10,14 @@ layer consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.mobility.geometry import Point
-from repro.mobility.trace import MobilityTrace, TracePoint
+from repro.mobility.trace import MobilityTrace
 
 
 @dataclass(frozen=True)
@@ -97,22 +100,32 @@ def build_trip_trace(trip: Trip, node_id: str = "") -> MobilityTrace:
     The bus departs the first stop at ``trip.start_time``, drives each leg at
     constant ``speed_mps`` and dwells ``dwell_time_s`` at every intermediate
     stop.  Dwells are represented by a pair of samples at the same position so
-    interpolation keeps the bus stationary during the dwell.
+    interpolation keeps the bus stationary during the dwell.  Zero-length legs
+    (repeated stops) add no sample.
+
+    The samples are built as arrays, bit-identical to the scalar walk
+    ``time += leg; time += dwell``: leg lengths come from ``math.hypot`` as in
+    :meth:`Point.distance_to`, and ``np.cumsum`` adds in the same order.
     """
     waypoints = trip._waypoints()
-    time = trip.start_time
-    points: List[TracePoint] = [TracePoint(time, waypoints[0])]
-    for index, (origin, destination) in enumerate(zip(waypoints, waypoints[1:])):
-        leg_time = origin.distance_to(destination) / trip.speed_mps
-        if leg_time <= 0:
-            continue
-        time += leg_time
-        points.append(TracePoint(time, destination))
-        is_last_leg = index == len(waypoints) - 2
-        if not is_last_leg and trip.dwell_time_s > 0:
-            time += trip.dwell_time_s
-            points.append(TracePoint(time, destination))
-    return MobilityTrace(points, node_id=node_id or trip.trip_id)
+    stop_x = np.array([p.x for p in waypoints], dtype=float)
+    stop_y = np.array([p.y for p in waypoints], dtype=float)
+    lengths = np.array(list(map(
+        math.hypot, (stop_x[:-1] - stop_x[1:]).tolist(), (stop_y[:-1] - stop_y[1:]).tolist()
+    )))
+    leg_times = lengths / trip.speed_mps
+    # Each leg contributes up to two samples, arrival then dwell, in that
+    # order; the masks pick which exist.  No dwell follows the last leg.
+    arrives = leg_times > 0
+    dwells = arrives & (trip.dwell_time_s > 0)
+    dwells[-1] = False
+    keep = np.column_stack((arrives, dwells)).ravel()
+    steps = np.column_stack((leg_times, np.full(leg_times.size, trip.dwell_time_s)))
+    times = np.cumsum(np.concatenate(([trip.start_time], steps.ravel()[keep])))
+    stops = np.concatenate(([0], np.repeat(np.arange(1, len(waypoints)), 2)[keep]))
+    return MobilityTrace.from_samples(
+        times, stop_x[stops], stop_y[stops], node_id=node_id or trip.trip_id
+    )
 
 
 @dataclass

@@ -10,6 +10,7 @@ which is how buses entering and leaving service are modelled.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -31,26 +32,81 @@ class TracePoint:
 
 
 class MobilityTrace:
-    """An ordered sequence of :class:`TracePoint` samples.
+    """A node's position samples: strictly increasing times with x and y.
 
-    Positions between samples are linearly interpolated.  Queries before the
-    first sample or after the last return ``None`` — the node is not active.
+    The samples are stored as three float arrays; :class:`TracePoint`
+    objects are built only when :attr:`points` or :meth:`points_in_span`
+    asks for them.  Positions between samples are linearly interpolated.
+    Queries before the first sample or after the last return ``None`` — the
+    node is not active.
     """
 
     def __init__(self, points: Sequence[TracePoint], node_id: str = "") -> None:
-        if not points:
-            raise ValueError("a mobility trace needs at least one point")
+        # Sorted here; duplicate timestamps are rejected by _store.
         ordered = sorted(points, key=lambda p: p.time)
-        for earlier, later in zip(ordered, ordered[1:]):
-            if later.time == earlier.time:
-                raise ValueError(f"duplicate trace timestamp {later.time}")
-        self._points: List[TracePoint] = list(ordered)
-        self._times: List[float] = [p.time for p in self._points]
+        self._store(
+            [p.time for p in ordered],
+            [p.position.x for p in ordered],
+            [p.position.y for p in ordered],
+            node_id,
+        )
+
+    @classmethod
+    def from_samples(
+        cls,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+        node_id: str = "",
+    ) -> "MobilityTrace":
+        """A trace straight from its sample arrays, already in time order."""
+        trace = cls.__new__(cls)
+        trace._store(times, xs, ys, node_id)
+        return trace
+
+    def _store(
+        self,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+        node_id: str,
+    ) -> None:
+        """Validate the samples and keep them as read-only float arrays."""
+        arrays = [np.array(values, dtype=float) for values in (times, xs, ys)]
+        t = arrays[0]
+        if any(a.ndim != 1 or a.shape != t.shape for a in arrays):
+            raise ValueError("times, xs and ys must be one-dimensional and equally long")
+        if not t.size:
+            raise ValueError("a mobility trace needs at least one point")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("trace samples must be finite")
+        if t[0] < 0:
+            raise ValueError(f"trace time must be non-negative, got {t[0]}")
+        backwards = np.flatnonzero(t[1:] <= t[:-1])
+        if backwards.size:
+            i = int(backwards[0])
+            raise ValueError(
+                f"trace times must be strictly increasing (no duplicate "
+                f"timestamps), got {t[i + 1]} after {t[i]}"
+            )
+        for a in arrays:
+            a.flags.writeable = False
+        self._times_array, self._xs_array, self._ys_array = arrays
+        # Float-sequence views of the same memory for the scalar paths:
+        # bisect and indexing yield plain Python floats, with no per-sample
+        # objects kept alive.
+        self._times, self._xs, self._ys = (memoryview(a) for a in arrays)
+        self._end_time = self._times[-1]
         self.node_id = node_id
-        # Sample arrays backing the batched positions_at query.
-        self._times_array = np.asarray(self._times, dtype=float)
-        self._xs = np.asarray([p.position.x for p in self._points], dtype=float)
-        self._ys = np.asarray([p.position.y for p in self._points], dtype=float)
+
+    def __getstate__(self):
+        return (self._times_array, self._xs_array, self._ys_array,
+                self.node_id, self._end_time)
+
+    def __setstate__(self, state) -> None:
+        times, xs, ys, node_id, end_time = state
+        self._store(times, xs, ys, node_id)
+        self._end_time = end_time
 
     @classmethod
     def static(cls, position: Point, start: float = 0.0, end: float = float("inf"),
@@ -58,23 +114,29 @@ class MobilityTrace:
         """A trace for a node that never moves and is active on ``[start, end]``."""
         if end <= start:
             raise ValueError("end must be after start")
-        points = [TracePoint(start, position)]
-        if end != float("inf"):
-            points.append(TracePoint(end, position))
-        trace = cls(points, node_id=node_id)
-        trace._static_end = end  # type: ignore[attr-defined]
+        times = [start] if end == float("inf") else [start, end]
+        trace = cls.from_samples(
+            times, [position.x] * len(times), [position.y] * len(times), node_id
+        )
+        trace._end_time = end
         return trace
+
+    def _sample_points(self, lo: int, hi: int) -> List[TracePoint]:
+        return [
+            TracePoint(t, Point(x, y))
+            for t, x, y in zip(self._times[lo:hi], self._xs[lo:hi], self._ys[lo:hi])
+        ]
 
     @property
     def points(self) -> List[TracePoint]:
-        """A copy of the underlying samples."""
-        return list(self._points)
+        """The samples as :class:`TracePoint` objects (built on each call)."""
+        return self._sample_points(0, len(self._times))
 
     def points_in_span(self, start: float, end: float) -> List[TracePoint]:
         """The samples with ``start <= time <= end``, bisected — no full scan."""
         lo = bisect.bisect_left(self._times, start)
         hi = bisect.bisect_right(self._times, end)
-        return self._points[lo:hi]
+        return self._sample_points(lo, hi)
 
     @property
     def start_time(self) -> float:
@@ -84,7 +146,7 @@ class MobilityTrace:
     @property
     def end_time(self) -> float:
         """Time of the last sample (or +inf for open-ended static traces)."""
-        return getattr(self, "_static_end", self._times[-1])
+        return self._end_time
 
     @property
     def duration(self) -> float:
@@ -93,22 +155,27 @@ class MobilityTrace:
 
     def is_active(self, time: float) -> bool:
         """True when the node is on the road / powered at ``time``."""
-        return self.start_time <= time <= self.end_time
+        return self._times[0] <= time <= self._end_time
 
     def position_at(self, time: float) -> Optional[Point]:
-        """Interpolated position at ``time``, or ``None`` when inactive."""
-        if not self.is_active(time):
+        """Interpolated position at ``time``, or ``None`` when inactive.
+
+        Same arithmetic as :meth:`Point.interpolate` between the two
+        enclosing samples, including its ``[0, 1]`` clamp.
+        """
+        times, xs, ys = self._times, self._xs, self._ys
+        if not times[0] <= time <= self._end_time:
             return None
-        if len(self._points) == 1 or time >= self._times[-1]:
-            return self._points[-1].position
-        if time <= self._times[0]:
-            return self._points[0].position
-        index = bisect.bisect_right(self._times, time)
-        before = self._points[index - 1]
-        after = self._points[index]
-        span = after.time - before.time
-        fraction = 0.0 if span == 0 else (time - before.time) / span
-        return before.position.interpolate(after.position, fraction)
+        if time >= times[-1]:
+            return Point(xs[-1], ys[-1])
+        if time <= times[0]:
+            return Point(xs[0], ys[0])
+        index = bisect.bisect_right(times, time)
+        t0 = times[index - 1]
+        f = min(max((time - t0) / (times[index] - t0), 0.0), 1.0)
+        x0 = xs[index - 1]
+        y0 = ys[index - 1]
+        return Point(x0 + (xs[index] - x0) * f, y0 + (ys[index] - y0) * f)
 
     def positions_at(self, times: Sequence[float]) -> np.ndarray:
         """Interpolated positions for a whole batch of query times at once.
@@ -128,10 +195,10 @@ class MobilityTrace:
         if not active.any():
             return out
         t = query[active]
-        ts, xs, ys = self._times_array, self._xs, self._ys
+        ts, xs, ys = self._times_array, self._xs_array, self._ys_array
         x = np.empty(t.size)
         y = np.empty(t.size)
-        if len(self._points) == 1:
+        if ts.size == 1:
             x[:] = xs[-1]
             y[:] = ys[-1]
         else:
@@ -154,10 +221,8 @@ class MobilityTrace:
 
     def total_distance(self) -> float:
         """Path length travelled over the whole trace, in metres."""
-        return sum(
-            earlier.position.distance_to(later.position)
-            for earlier, later in zip(self._points, self._points[1:])
-        )
+        xs, ys = self._xs_array, self._ys_array
+        return sum(map(math.hypot, (xs[:-1] - xs[1:]).tolist(), (ys[:-1] - ys[1:]).tolist()))
 
     def average_speed(self) -> float:
         """Mean speed over the active span in m/s (0 for static/instantaneous traces)."""

@@ -35,6 +35,7 @@ return *identical* intervals, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -320,9 +321,13 @@ def _window_boxes(
             if position is not None:
                 xs.append(position.x)
                 ys.append(position.y)
-        for point in trace.points_in_span(lo, hi):
-            xs.append(point.position.x)
-            ys.append(point.position.y)
+        first = bisect_left(trace._times, lo)
+        last = bisect_right(trace._times, hi)
+        if first < last:
+            span_xs = trace._xs_array[first:last]
+            span_ys = trace._ys_array[first:last]
+            xs += [float(span_xs.min()), float(span_xs.max())]
+            ys += [float(span_ys.min()), float(span_ys.max())]
         if not xs:
             boxes.append(None)
             continue

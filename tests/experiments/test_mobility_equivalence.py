@@ -48,10 +48,14 @@ QUICKSTART_LIKE = ScenarioConfig(
 
 
 def traces_fingerprint(traces) -> str:
-    """A SHA-256 over every sample of every trace, full float precision."""
+    """A SHA-256 over every sample of every trace, full float precision.
+
+    Values go through ``float`` so the digest pins the numbers, not whether
+    a coordinate happens to be a ``numpy.float64`` or a Python float.
+    """
     payload = {
         node_id: [
-            (repr(p.time), repr(p.position.x), repr(p.position.y))
+            (repr(float(p.time)), repr(float(p.position.x)), repr(float(p.position.y)))
             for p in trace.points
         ]
         for node_id, trace in traces.items()
@@ -61,10 +65,12 @@ def traces_fingerprint(traces) -> str:
     ).hexdigest()
 
 
-#: Built-scenario trace fingerprints recorded from the pre-refactor builder.
+#: Built-scenario trace fingerprints.  The pre-refactor builder's samples,
+#: re-recorded with the float-cast fingerprint at commit a1b5603, the last
+#: commit whose London traces carried ``numpy.float64`` coordinates.
 GOLDEN_TRACE_FINGERPRINTS = {
-    "small": "ad4ea3dc7dab02fc01566c4a3a88381abb61a15bf1ea3f368ad7f908b4a0176d",
-    "quickstart-like": "5c36a625de1e0476fcda0f8881ad31bdd32392b110cd1ba59dcde8904210d5b6",
+    "small": "7afa1c05e1e4deadf83b551634bfc21e36929e2522e72dbc1951c9c0f23faff2",
+    "quickstart-like": "8e3b9493c252622972add930cee7c71451fb4b924403aea3b43599b2a165bbfe",
 }
 
 

@@ -1,7 +1,9 @@
 """Golden-fingerprint regression tests for the London bus-network generator.
 
-The digests below were recorded from the pre-mobility-refactor generator
-(commit e648f22, where ``experiments/scenario.py`` generated traces inline).
+The timetable digests below were recorded from the pre-mobility-refactor
+generator (commit e648f22, where ``experiments/scenario.py`` generated traces
+inline); the trace digests from the per-sample scalar trip builder at commit
+a1b5603, before traces were built as arrays.
 Any mobility refactor must keep reproducing them bit-for-bit, the way
 ``tests/experiments/test_radio_equivalence.py`` pins the radio engine.  If a
 legitimate behaviour change ever invalidates them, regenerate the digests
@@ -12,7 +14,12 @@ commit.
 import hashlib
 import json
 
+import pytest
+
+from repro.mobility.config import MobilityConfig
 from repro.mobility.london import LondonBusNetworkConfig, LondonBusNetworkGenerator
+from repro.mobility.models import MobilitySpec, build_mobility
+from repro.mobility.route import build_trip_trace
 from repro.sim.randomness import RandomStreams
 
 
@@ -34,6 +41,19 @@ def timetable_digest(timetable) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def traces_digest(traces) -> str:
+    """A SHA-256 over every sample of every trace, in order, full float precision."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        for p in trace.points:
+            digest.update(
+                f"{float(p.time)!r},{float(p.position.x)!r},{float(p.position.y)!r}\n"
+                .encode("utf-8")
+            )
+        digest.update(b"|")
+    return digest.hexdigest()
+
+
 #: The small config the SMALL equivalence scenario implies (1800 s horizon
 #: compresses the diurnal window by 1800/86400).
 SMALL_NETWORK = LondonBusNetworkConfig(
@@ -52,6 +72,14 @@ GOLDEN_TIMETABLE_DIGESTS = {
     "default-seed11": "2af939718b212938f3bd1e59d0b40dc546334acf3b408d3c9724221b94001591",
     "small-seed11": "0a8be03b4a8da6573856f18f28ee330ea6f75bf85b54fce8f43413e5ea1a50ff",
 }
+
+
+GOLDEN_TRACE_DIGESTS = {
+    "default-seed11": "38abad4e252d7936a61149ee2041ea04b754adef7099459aef3ad3c10ac49d24",
+    "small-seed11": "ff186c2f57a05150879cf97ba2b78e3e00cdcb3b2f47557c57e6b4cf87930698",
+}
+
+NETWORKS = {"default-seed11": LondonBusNetworkConfig(), "small-seed11": SMALL_NETWORK}
 
 
 class TestGoldenTimetables:
@@ -89,3 +117,22 @@ class TestGoldenTimetables:
             SMALL_NETWORK, RandomStreams(24).stream("mobility")
         ).generate()
         assert timetable_digest(different) != timetable_digest(first)
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_DIGESTS))
+    def test_trip_traces_are_bit_identical(self, name):
+        timetable = LondonBusNetworkGenerator(
+            NETWORKS[name], RandomStreams(11).stream("mobility")
+        ).generate()
+        traces = [build_trip_trace(trip) for trip in timetable.trips]
+        assert traces_digest(traces) == GOLDEN_TRACE_DIGESTS[name], (
+            "the built London traces diverged from the scalar trip builder; "
+            "if intentional, regenerate the goldens and bump CACHE_SCHEMA_VERSION"
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_DIGESTS))
+    def test_london_bus_model_builds_the_same_traces(self, name):
+        spec = MobilitySpec(MobilityConfig(), NETWORKS[name], duration_s=1800.0)
+        build = build_mobility(spec, RandomStreams(11).stream("mobility"))
+        assert traces_digest(build.traces.values()) == GOLDEN_TRACE_DIGESTS[name]

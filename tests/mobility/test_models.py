@@ -191,6 +191,29 @@ class TestTraceFileModel:
         with pytest.raises(ValueError, match="line 2"):
             load_traces_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["n,nan,0,0", "n,0,inf,0", "n,0,0,-inf", "n,0,NaN,0", "n,Infinity,0,0"]
+    )
+    def test_non_finite_values_rejected_with_file_and_line(self, tmp_path, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"node_id,time_s,x_m,y_m\nn,1.0,0,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv, line 3: non-finite"):
+            load_traces_csv(path)
+
+    def test_csv_bytes_unchanged_for_numpy_coordinates(self, tmp_path):
+        traces = {
+            "n": MobilityTrace(
+                [TracePoint(0.0, Point(np.float64(0.1), np.float64(1e-7))),
+                 TracePoint(2.5, Point(np.float64(1 / 3), 7))]
+            )
+        }
+        path = save_traces_csv(traces, tmp_path / "out.csv")
+        assert path.read_text(encoding="utf-8") == (
+            "node_id,time_s,x_m,y_m\n"
+            "n,0.0,0.1,1e-07\n"
+            "n,2.5,0.3333333333333333,7.0\n"
+        )
+
     def test_empty_file_rejected_by_model(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("node_id,time_s,x_m,y_m\n", encoding="utf-8")

@@ -1,7 +1,11 @@
 """Unit tests for mobility traces."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point
 from repro.mobility.trace import MobilityTrace, TracePoint, active_count_at
@@ -141,6 +145,93 @@ class TestPositionsAt:
         )
         batch = trace.positions_at([12.0, 15.0, 20.0])
         assert [tuple(row) for row in batch] == [(10.0, 0.0)] * 3
+
+
+coordinates = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+
+
+@st.composite
+def samples(draw):
+    """1–12 samples with unique, sorted, non-negative times."""
+    times = sorted(draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e5), min_size=1, max_size=12, unique=True
+    )))
+    xs = [draw(coordinates) for _ in times]
+    ys = [draw(coordinates) for _ in times]
+    return times, xs, ys
+
+
+class TestFromSamples:
+    @given(data=samples(), probes=st.lists(st.floats(min_value=-10.0, max_value=1.1e5),
+                                           max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_points_constructor(self, data, probes):
+        times, xs, ys = data
+        from_points = MobilityTrace(
+            [TracePoint(t, Point(x, y)) for t, x, y in reversed(list(zip(times, xs, ys)))]
+        )
+        from_samples = MobilityTrace.from_samples(times, xs, ys)
+        probes = probes + times
+        for time in probes:
+            assert from_samples.position_at(time) == from_points.position_at(time)
+        np.testing.assert_array_equal(
+            from_samples.positions_at(probes), from_points.positions_at(probes)
+        )
+        assert from_samples.points == from_points.points
+        assert [(p.time, p.position.x, p.position.y) for p in from_samples.points] == list(
+            zip(times, xs, ys)
+        )
+        lo, hi = sorted(probes[:2]) if len(probes) > 1 else (times[0], times[-1])
+        assert from_samples.points_in_span(lo, hi) == from_points.points_in_span(lo, hi)
+        assert from_samples.total_distance() == from_points.total_distance()
+        assert from_samples.average_speed() == from_points.average_speed()
+
+    def test_points_are_plain_floats(self):
+        trace = MobilityTrace.from_samples(np.array([0.0, 1.0]), [np.float64(2.0), 3], [0, 0])
+        for point in trace.points:
+            assert {type(point.time), type(point.position.x), type(point.position.y)} == {float}
+
+    def test_is_independent_of_the_caller_arrays(self):
+        times = np.array([0.0, 10.0])
+        xs = np.array([0.0, 10.0])
+        trace = MobilityTrace.from_samples(times, xs, [0.0, 0.0])
+        times[1] = 5.0
+        xs[1] = -1.0
+        assert trace.end_time == 10.0
+        assert trace.position_at(10.0) == Point(10.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "times, xs, ys",
+        [
+            ([], [], []),
+            ([-1.0, 2.0], [0.0, 0.0], [0.0, 0.0]),
+            ([1.0, 1.0], [0.0, 1.0], [0.0, 0.0]),
+            ([2.0, 1.0], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, float("nan")], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, float("inf")], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, float("nan")], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, 1.0], [float("-inf"), 0.0]),
+            ([0.0, 1.0], [0.0], [0.0, 0.0]),
+            ([[0.0, 1.0]], [[0.0, 1.0]], [[0.0, 1.0]]),
+        ],
+        ids=["empty", "negative", "duplicate", "decreasing", "nan-time", "inf-time",
+             "nan-x", "inf-y", "ragged", "two-dimensional"],
+    )
+    def test_rejects_invalid_samples(self, times, xs, ys):
+        with pytest.raises(ValueError):
+            MobilityTrace.from_samples(times, xs, ys)
+
+    def test_points_constructor_rejects_non_finite_samples(self):
+        with pytest.raises(ValueError, match="finite"):
+            MobilityTrace([TracePoint(0.0, Point(0, 0)), TracePoint(1.0, Point(float("nan"), 0))])
+
+    def test_pickle_round_trip(self):
+        trace = MobilityTrace.static(Point(1.5, -2.0), start=3.0, node_id="gw")
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.node_id == "gw"
+        assert copy.end_time == float("inf")
+        assert copy.points == trace.points
+        assert copy.position_at(1e6) == Point(1.5, -2.0)
 
 
 class TestActiveCount:
