@@ -1,24 +1,18 @@
 """Ablation — the EWMA weight α of Eq. (4) (the paper fixes α = 0.5)."""
 
 from benchmarks.conftest import ABLATION_SCALE
-from repro.experiments.figures import ablation_alpha
-from repro.experiments.reporting import format_metric_comparison
+from repro.experiments.parallel import SweepExecutor
+from repro.experiments.registry import get_sweep
 
 
 def test_bench_ablation_alpha(benchmark):
-    results = benchmark.pedantic(
-        ablation_alpha,
-        kwargs={"scale": ABLATION_SCALE, "alphas": (0.1, 0.5, 0.9)},
+    artifact = benchmark.pedantic(
+        get_sweep("alpha").runner,
+        args=(ABLATION_SCALE, SweepExecutor()),
         rounds=1,
         iterations=1,
     )
     print()
-    print(
-        format_metric_comparison(
-            "Ablation — EWMA weight α (RCA-ETX scheme)",
-            results,
-            ("mean_delay_s", "throughput_messages", "mean_hop_count"),
-        )
-    )
-    assert set(results) == {0.1, 0.5, 0.9}
-    assert all(run.messages_delivered > 0 for run in results.values())
+    print(artifact.text)
+    assert set(artifact.raw) == {(alpha,) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)}
+    assert all(run.messages_delivered > 0 for run in artifact.raw.values())

@@ -1,26 +1,22 @@
 """Ablation — grid versus random gateway placement (Sec. VII-C discussion)."""
 
 from benchmarks.conftest import ABLATION_SCALE
-from repro.experiments.figures import ablation_gateway_placement
-from repro.experiments.reporting import format_metric_comparison
+from repro.experiments.parallel import SweepExecutor
+from repro.experiments.registry import get_sweep
 
 
 def test_bench_ablation_placement(benchmark):
-    results = benchmark.pedantic(
-        ablation_gateway_placement, kwargs={"scale": ABLATION_SCALE}, rounds=1, iterations=1
+    artifact = benchmark.pedantic(
+        get_sweep("placement").runner,
+        args=(ABLATION_SCALE, SweepExecutor()),
+        rounds=1,
+        iterations=1,
     )
     print()
-    for placement, runs in results.items():
-        print(
-            format_metric_comparison(
-                f"Ablation — {placement} gateway placement",
-                runs,
-                ("mean_delay_s", "throughput_messages"),
-            )
-        )
-        print()
-
-    assert set(results) == {"grid", "random"}
-    for runs in results.values():
-        assert set(runs) == set(ABLATION_SCALE.schemes)
-        assert all(run.messages_delivered > 0 for run in runs.values())
+    print(artifact.text)
+    assert set(artifact.raw) == {
+        (placement, scheme)
+        for placement in ("grid", "random")
+        for scheme in ABLATION_SCALE.schemes
+    }
+    assert all(run.messages_delivered > 0 for run in artifact.raw.values())

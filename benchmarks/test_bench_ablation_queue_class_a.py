@@ -5,24 +5,21 @@ Class-C while saving some (under 20 %) energy.
 """
 
 from benchmarks.conftest import ABLATION_SCALE
-from repro.experiments.figures import ablation_device_class
-from repro.experiments.reporting import format_metric_comparison
+from repro.experiments.parallel import SweepExecutor
+from repro.experiments.registry import get_sweep
 
 
 def test_bench_ablation_queue_class_a(benchmark):
-    results = benchmark.pedantic(
-        ablation_device_class, kwargs={"scale": ABLATION_SCALE}, rounds=1, iterations=1
+    artifact = benchmark.pedantic(
+        get_sweep("device-class").runner,
+        args=(ABLATION_SCALE, SweepExecutor()),
+        rounds=1,
+        iterations=1,
     )
     print()
-    print(
-        format_metric_comparison(
-            "Ablation — device classes (ROBC scheme)",
-            results,
-            ("mean_delay_s", "throughput_messages", "mean_energy_joules"),
-        )
-    )
-    modified_c = results["modified-class-c"]
-    queue_a = results["queue-based-class-a"]
+    print(artifact.text)
+    modified_c = artifact.raw[("modified-class-c",)]
+    queue_a = artifact.raw[("queue-based-class-a",)]
     # Energy must not increase, throughput must stay in the same ballpark.
     assert queue_a.mean_energy_joules <= modified_c.mean_energy_joules * 1.01
     assert queue_a.throughput_messages >= 0.7 * modified_c.throughput_messages

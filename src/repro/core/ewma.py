@@ -3,7 +3,7 @@
 ``E[µ'(t)] = (1 − α) · E[µ'(t − ∆t)] + α · µ'(t)`` with ``E[µ'(0)] = µ'(0)``.
 A higher α adapts faster to the most recent Real-time PST sample but makes
 scheduling less stable; the paper's evaluation fixes α = 0.5 and the
-``ablation_alpha`` benchmark sweeps it.
+``alpha`` sweep (``repro sweep alpha``) varies it.
 """
 
 from __future__ import annotations

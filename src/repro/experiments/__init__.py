@@ -20,10 +20,11 @@
 * :mod:`repro.experiments.sweeps` — parameter sweeps over gateway density,
   device range and schemes.
 * :mod:`repro.experiments.figures` — one entry point per paper figure
-  (Figs. 7–13) plus the ablations listed in DESIGN.md.
+  (Figs. 7–13).
 * :mod:`repro.experiments.registry` — named scenario presets (urban, rural,
-  ablation points, synthetic variants) and per-figure sweep presets; the
-  catalogue ``docs/scenarios.md`` is generated from it.
+  ablation points, synthetic variants) and sweep presets: the figures plus
+  the declared grid sweeps (ablations and beyond-the-paper grids) that one
+  runner executes; the catalogue ``docs/scenarios.md`` is generated from it.
 * :mod:`repro.experiments.serialization` — lossless, digest-stable
   ScenarioConfig ⇄ JSON/TOML round trips so scenarios are shareable files.
 * :mod:`repro.experiments.cli` — the ``repro`` console entry point

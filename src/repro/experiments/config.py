@@ -11,6 +11,7 @@ that actually determines contact structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -73,18 +74,17 @@ class ScenarioConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.area_km2 <= 0:
-            raise ValueError("area_km2 must be positive")
+        # Written so NaN fails too: every comparison with NaN is False.
+        for name in ("duration_s", "area_km2", "gateway_range_m", "device_range_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.num_gateways <= 0:
             raise ValueError("num_gateways must be positive")
         if self.gateway_placement not in ("grid", "random"):
             raise ValueError(
                 f"gateway_placement must be 'grid' or 'random', got {self.gateway_placement!r}"
             )
-        if self.gateway_range_m <= 0 or self.device_range_m <= 0:
-            raise ValueError("communication ranges must be positive")
         if self.num_routes <= 0 or self.trips_per_route <= 0:
             raise ValueError("num_routes and trips_per_route must be positive")
         if not 1 <= self.min_block_repeats <= self.max_block_repeats:
@@ -103,8 +103,8 @@ class ScenarioConfig:
         bus density (buses/km²) — the quantities that set contact statistics —
         remain comparable to the full-size scenario.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be a positive finite number, got {scale!r}")
         if scale > 1:
             raise ValueError("scale is a shrink factor and must be <= 1")
         mobility = self.mobility

@@ -1,4 +1,4 @@
-"""Per-figure experiment definitions (Figs. 7–13 plus ablations).
+"""Per-figure experiment definitions (Figs. 7–13).
 
 Each ``figureNN`` function runs the simulations needed for one paper figure
 and returns a plain data structure (rows or series) that the reporting layer,
@@ -9,8 +9,13 @@ larger offline campaigns (:data:`CAMPAIGN_SCALE`), and an optional
 :class:`SweepExecutor` for backend-parallel (process-pool or multi-host
 work-queue), cache-served execution.  The executor guarantees outcome
 completeness — the ``zip(keys, executor.run_metrics(specs))`` pattern used
-throughout is safe because ``run_metrics`` raises instead of ever returning
-fewer results than specs.
+here is safe because ``run_metrics`` raises instead of ever returning fewer
+results than specs.
+
+The ablations and the beyond-the-paper grids (α, device class, placement,
+multi-SF radio, mobility model, routing × buffer) are not written out here:
+each is a declared grid in :mod:`repro.experiments.registry`, run by one
+generic runner.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.metrics import RunMetrics
 from repro.analysis.timeseries import bin_events
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor
@@ -280,198 +284,3 @@ def figure11_rural_timeseries(
     return _timeseries_for_range(
         scale, RURAL_DEVICE_RANGE_M, nominal_gateways, bin_width_s, executor
     )
-
-
-# --------------------------------------------------------------------- #
-# Beyond the paper: multi-channel / multi-SF radio sweep
-# --------------------------------------------------------------------- #
-def run_multisf_sweep(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    channel_counts: Sequence[int] = (1, 3, 8),
-    sf_policy: str = "distance-based",
-    nominal_gateways: int = 70,
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[Tuple[int, str], RunMetrics]:
-    """A (channel count × scheme) grid under a multi-SF radio plan.
-
-    The paper fixes one shared SF7 channel; this sweep opens the radio layer
-    the way real EU868 deployments are provisioned — several orthogonal
-    uplink channels and spreading factors allocated by ``sf_policy`` — and
-    measures how much of the store-carry-forward gain survives when the
-    channel itself decongests.  Keys are ``(num_channels, scheme)``.
-    """
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    keys: List[Tuple[int, str]] = [
-        (channels, scheme)
-        for channels in channel_counts
-        for scheme in scale.schemes
-    ]
-    specs = [
-        RunSpec(
-            config=base.with_scheme(scheme)
-            .with_gateways(actual_gateways)
-            .with_radio(num_channels=channels, sf_policy=sf_policy)
-        )
-        for channels, scheme in keys
-    ]
-    executor = executor or SweepExecutor()
-    return dict(zip(keys, executor.run_metrics(specs)))
-
-
-# --------------------------------------------------------------------- #
-# Beyond the paper: mobility-model sweep
-# --------------------------------------------------------------------- #
-def run_mobility_sweep(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    models: Sequence[str] = ("london-bus", "random-waypoint", "grid-manhattan"),
-    nominal_gateways: int = 70,
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[Tuple[str, str], RunMetrics]:
-    """A (mobility model × scheme) grid at the paper's 70-gateway point.
-
-    The paper evaluates one mobility source — the synthetic London bus
-    network; this sweep swaps the trace generator while holding everything
-    else fixed, measuring how much of each scheme's gain is owed to the
-    bus network's centre-dense, route-constrained contact structure rather
-    than to mobility per se.  Keys are ``(model, scheme)``.
-    """
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    keys: List[Tuple[str, str]] = [
-        (model, scheme) for model in models for scheme in scale.schemes
-    ]
-    specs = [
-        RunSpec(
-            config=base.with_scheme(scheme)
-            .with_gateways(actual_gateways)
-            .with_mobility(model=model)
-        )
-        for model, scheme in keys
-    ]
-    executor = executor or SweepExecutor()
-    return dict(zip(keys, executor.run_metrics(specs)))
-
-
-# --------------------------------------------------------------------- #
-# Beyond the paper: routing scheme × buffer-management sweep
-# --------------------------------------------------------------------- #
-def run_routing_sweep(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    schemes: Sequence[str] = ("robc", "prophet"),
-    buffer_policies: Sequence[str] = ("drop-new", "drop-oldest", "priority-age"),
-    buffer_capacities: Sequence[int] = (8, 64),
-    nominal_gateways: int = 70,
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[Tuple[str, str, int], RunMetrics]:
-    """A (scheme × buffer policy × capacity) grid at the 70-gateway point.
-
-    The paper fixes a 64-message FIFO tail-drop buffer; this sweep opens the
-    buffer-management axis the DTN literature treats as first-class — what to
-    evict under pressure, and how much pressure a small buffer creates —
-    while the new :class:`~repro.analysis.metrics.RunMetrics` counters
-    (``messages_dropped_full`` vs ``messages_rejected_duplicate``) separate
-    real loss from handover deduplication.  Keys are
-    ``(scheme, buffer_policy, capacity)``.
-    """
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    keys: List[Tuple[str, str, int]] = [
-        (scheme, policy, capacity)
-        for scheme in schemes
-        for policy in buffer_policies
-        for capacity in buffer_capacities
-    ]
-    specs = [
-        RunSpec(
-            config=base.with_scheme(scheme)
-            .with_gateways(actual_gateways)
-            .with_buffer(policy=policy, capacity=capacity)
-        )
-        for scheme, policy, capacity in keys
-    ]
-    executor = executor or SweepExecutor()
-    return dict(zip(keys, executor.run_metrics(specs)))
-
-
-# --------------------------------------------------------------------- #
-# Ablations
-# --------------------------------------------------------------------- #
-def ablation_alpha(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    alphas: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    nominal_gateways: int = 70,
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[float, RunMetrics]:
-    """Sweep the EWMA weight α of Eq. (4) for the RCA-ETX scheme."""
-    from dataclasses import replace
-
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    specs = [
-        RunSpec(
-            config=replace(
-                base.with_scheme("rca-etx").with_gateways(actual_gateways),
-                device=replace(base.device, ewma_alpha=alpha),
-            ),
-        )
-        for alpha in alphas
-    ]
-    executor = executor or SweepExecutor()
-    return dict(zip(alphas, executor.run_metrics(specs)))
-
-
-def ablation_device_class(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    nominal_gateways: int = 70,
-    scheme: str = "robc",
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[str, RunMetrics]:
-    """Modified Class-C versus Queue-based Class-A (performance and energy, Sec. VII-C)."""
-    from dataclasses import replace
-
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    device_classes = ("modified-class-c", "queue-based-class-a")
-    specs = [
-        RunSpec(
-            config=replace(
-                base.with_scheme(scheme).with_gateways(actual_gateways),
-                device_class=device_class,
-            )
-        )
-        for device_class in device_classes
-    ]
-    executor = executor or SweepExecutor()
-    return dict(zip(device_classes, executor.run_metrics(specs)))
-
-
-def ablation_gateway_placement(
-    scale: ReproductionScale = BENCHMARK_SCALE,
-    nominal_gateways: int = 70,
-    executor: Optional[SweepExecutor] = None,
-) -> Dict[str, Dict[str, RunMetrics]]:
-    """Grid versus uniform-random gateway placement (Sec. VII-C discussion)."""
-    from dataclasses import replace
-
-    base = scale.base_config()
-    actual_gateways = max(1, round(nominal_gateways * scale.spatial_scale))
-    keys: List[Tuple[str, str]] = [
-        (placement, scheme)
-        for placement in ("grid", "random")
-        for scheme in scale.schemes
-    ]
-    specs = [
-        RunSpec(
-            config=replace(
-                base.with_scheme(scheme).with_gateways(actual_gateways),
-                gateway_placement=placement,
-            )
-        )
-        for placement, scheme in keys
-    ]
-    executor = executor or SweepExecutor()
-    results: Dict[str, Dict[str, RunMetrics]] = {}
-    for (placement, scheme), metrics in zip(keys, executor.run_metrics(specs)):
-        results.setdefault(placement, {})[scheme] = metrics
-    return results

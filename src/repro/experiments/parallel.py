@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -143,6 +144,10 @@ def config_digest(config: ScenarioConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One picklable unit of sweep work.
@@ -156,6 +161,19 @@ class RunSpec:
     config: ScenarioConfig
     nominal_gateways: Optional[int] = None
     replicate: int = 0
+
+    def __post_init__(self) -> None:
+        # Both fields are spelled into the cache key, whose grammar only
+        # admits a positive gateway count and a non-negative replicate.
+        if self.nominal_gateways is not None and not (
+            _is_int(self.nominal_gateways) and self.nominal_gateways >= 1
+        ):
+            raise ValueError(
+                "nominal_gateways must be None or an integer >= 1, "
+                f"got {self.nominal_gateways!r}"
+            )
+        if not (_is_int(self.replicate) and self.replicate >= 0):
+            raise ValueError(f"replicate must be an integer >= 0, got {self.replicate!r}")
 
     @property
     def key(self) -> Tuple[str, int, float, int]:
@@ -190,14 +208,16 @@ def spec_to_dict(spec: RunSpec) -> Dict[str, Any]:
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> RunSpec:
-    """Rebuild a :class:`RunSpec` from :func:`spec_to_dict` output."""
-    if "scenario" not in data:
-        raise ValueError("run spec payload is missing the 'scenario' table")
-    nominal = data.get("nominal_gateways")
+    """Rebuild a :class:`RunSpec` from :func:`spec_to_dict` output.
+
+    Every malformed payload is a ``ValueError``, whatever part is wrong.
+    """
+    if not isinstance(data, Mapping) or "scenario" not in data:
+        raise ValueError("run spec payload must be an object with a 'scenario' table")
     return RunSpec(
         config=scenario_from_dict(data["scenario"]),
-        nominal_gateways=None if nominal is None else int(nominal),
-        replicate=int(data.get("replicate", 0)),
+        nominal_gateways=data.get("nominal_gateways"),
+        replicate=data.get("replicate", 0),
     )
 
 

@@ -12,10 +12,13 @@ Two registries live here:
   ``run_scenario(get_preset(name).config)`` are the same experiment by
   construction.
 * **Sweep presets** (:class:`SweepPreset`): one entry per paper figure
-  (Figs. 7–13) and per ablation (α, device class, gateway placement).  Each
-  wraps the corresponding :mod:`repro.experiments.figures` pipeline and
-  returns a uniform :class:`SweepArtifact` (printable text + tabular rows)
-  so the CLI and reporting layer can treat every figure alike.
+  (Figs. 7–13), per ablation (α, device class, gateway placement) and per
+  beyond-the-paper grid (multi-SF radio, mobility model, routing × buffer).
+  A figure wraps its :mod:`repro.experiments.figures` pipeline; a grid sweep
+  *declares* its axes (:class:`SweepGrid`) and runs through the one
+  :func:`run_grid`.  Every sweep returns a uniform :class:`SweepArtifact`
+  (printable text + tabular rows) so the CLI and reporting layer can treat
+  them alike.
 
 ``render_scenarios_markdown`` generates ``docs/scenarios.md`` from these
 registries; a test pins the file to the generated text so the documentation
@@ -25,6 +28,8 @@ cannot drift from the code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import product
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import ScenarioConfig
@@ -33,9 +38,6 @@ from repro.experiments.figures import (
     CAMPAIGN_SCALE,
     SMOKE_SCALE,
     ReproductionScale,
-    ablation_alpha,
-    ablation_device_class,
-    ablation_gateway_placement,
     figure07_bus_network,
     figure08_delay,
     figure09_throughput,
@@ -44,11 +46,8 @@ from repro.experiments.figures import (
     figure12_hops,
     figure13_overhead,
     run_density_sweep,
-    run_mobility_sweep,
-    run_multisf_sweep,
-    run_routing_sweep,
 )
-from repro.experiments.parallel import SweepExecutor
+from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.experiments.reporting import (
     format_bus_network,
     format_figure_rows,
@@ -600,6 +599,8 @@ class SweepPreset:
     description: str
     runner: SweepRunner
     figure: str = ""
+    #: The declaration behind a grid sweep (``None`` for the figure sweeps).
+    grid: Optional["SweepGrid"] = None
 
 
 _SWEEPS: Dict[str, SweepPreset] = {}
@@ -681,32 +682,6 @@ def _timeseries_artifact(name: str, title: str, figure_fn) -> SweepRunner:
     return runner
 
 
-def _metrics_rows(results: Mapping[Any, Any], key_name: str) -> List[Dict[str, Any]]:
-    rows = []
-    for key in sorted(results, key=str):
-        metrics = results[key]
-        rows.append(
-            {
-                key_name: key,
-                "mean_delay_s": metrics.mean_delay_s,
-                "throughput_messages": metrics.throughput_messages,
-                "delivery_ratio": metrics.delivery_ratio,
-                "mean_hop_count": metrics.mean_hop_count,
-                "mean_messages_sent_per_node": metrics.mean_messages_sent_per_node,
-                "mean_energy_joules": metrics.mean_energy_joules,
-            }
-        )
-    return rows
-
-
-_ABLATION_METRICS = (
-    "mean_delay_s",
-    "throughput_messages",
-    "delivery_ratio",
-    "mean_energy_joules",
-)
-
-
 def _fig7_runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) -> SweepArtifact:
     del executor  # one mobility generation, nothing to parallelise
     properties = figure07_bus_network(scale)
@@ -719,161 +694,6 @@ def _fig7_runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) ->
         text=format_bus_network("Fig. 7 — bus network properties", properties),
         rows=rows,
         raw=properties,
-    )
-
-
-def _alpha_runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) -> SweepArtifact:
-    results = ablation_alpha(scale, executor=executor)
-    return SweepArtifact(
-        name="alpha",
-        text=format_metric_comparison(
-            "α ablation — EWMA weight of Eq. (4), RCA-ETX", results, _ABLATION_METRICS
-        ),
-        rows=_metrics_rows(results, "alpha"),
-        raw=results,
-    )
-
-
-def _device_class_runner(
-    scale: ReproductionScale, executor: Optional[SweepExecutor]
-) -> SweepArtifact:
-    results = ablation_device_class(scale, executor=executor)
-    return SweepArtifact(
-        name="device-class",
-        text=format_metric_comparison(
-            "Device-class ablation — Modified Class-C vs Queue-based Class-A",
-            results,
-            _ABLATION_METRICS,
-        ),
-        rows=_metrics_rows(results, "device_class"),
-        raw=results,
-    )
-
-
-def _multisf_runner(
-    scale: ReproductionScale, executor: Optional[SweepExecutor]
-) -> SweepArtifact:
-    results = run_multisf_sweep(scale, executor=executor)
-    flat = {
-        f"{channels}ch/{scheme}": metrics
-        for (channels, scheme), metrics in results.items()
-    }
-    rows = [
-        {
-            "num_channels": channels,
-            "scheme": scheme,
-            "mean_delay_s": metrics.mean_delay_s,
-            "throughput_messages": metrics.throughput_messages,
-            "delivery_ratio": metrics.delivery_ratio,
-            "mean_hop_count": metrics.mean_hop_count,
-            "mean_messages_sent_per_node": metrics.mean_messages_sent_per_node,
-            "mean_energy_joules": metrics.mean_energy_joules,
-        }
-        for (channels, scheme), metrics in sorted(results.items())
-    ]
-    return SweepArtifact(
-        name="multisf",
-        text=format_metric_comparison(
-            "Multi-SF radio sweep — uplink channels × scheme, distance-based SFs",
-            flat,
-            _ABLATION_METRICS,
-        ),
-        rows=rows,
-        raw=results,
-    )
-
-
-def _mobility_runner(
-    scale: ReproductionScale, executor: Optional[SweepExecutor]
-) -> SweepArtifact:
-    results = run_mobility_sweep(scale, executor=executor)
-    flat = {
-        f"{model}/{scheme}": metrics
-        for (model, scheme), metrics in sorted(results.items())
-    }
-    rows = [
-        {
-            "mobility_model": model,
-            "scheme": scheme,
-            "mean_delay_s": metrics.mean_delay_s,
-            "throughput_messages": metrics.throughput_messages,
-            "delivery_ratio": metrics.delivery_ratio,
-            "mean_hop_count": metrics.mean_hop_count,
-            "mean_messages_sent_per_node": metrics.mean_messages_sent_per_node,
-            "mean_energy_joules": metrics.mean_energy_joules,
-        }
-        for (model, scheme), metrics in sorted(results.items())
-    ]
-    return SweepArtifact(
-        name="mobility",
-        text=format_metric_comparison(
-            "Mobility sweep — trace model × scheme, bus-network contact "
-            "structure vs synthetic mobility",
-            flat,
-            _ABLATION_METRICS,
-        ),
-        rows=rows,
-        raw=results,
-    )
-
-
-def _routing_runner(
-    scale: ReproductionScale, executor: Optional[SweepExecutor]
-) -> SweepArtifact:
-    results = run_routing_sweep(scale, executor=executor)
-    flat = {
-        f"{scheme}/{policy}/cap{capacity}": metrics
-        for (scheme, policy, capacity), metrics in sorted(results.items())
-    }
-    rows = [
-        {
-            "scheme": scheme,
-            "buffer_policy": policy,
-            "buffer_capacity": capacity,
-            "mean_delay_s": metrics.mean_delay_s,
-            "throughput_messages": metrics.throughput_messages,
-            "delivery_ratio": metrics.delivery_ratio,
-            "messages_dropped_full": metrics.messages_dropped_full,
-            "messages_rejected_duplicate": metrics.messages_rejected_duplicate,
-            "mean_hop_count": metrics.mean_hop_count,
-            "mean_messages_sent_per_node": metrics.mean_messages_sent_per_node,
-            "mean_energy_joules": metrics.mean_energy_joules,
-        }
-        for (scheme, policy, capacity), metrics in sorted(results.items())
-    ]
-    return SweepArtifact(
-        name="routing",
-        text=format_metric_comparison(
-            "Routing sweep — scheme × buffer policy × capacity",
-            flat,
-            # The buffer counters are this sweep's headline comparison (loss
-            # vs handover dedup), so they belong in the printed table too.
-            _ABLATION_METRICS
-            + ("messages_dropped_full", "messages_rejected_duplicate"),
-        ),
-        rows=rows,
-        raw=results,
-    )
-
-
-def _placement_runner(
-    scale: ReproductionScale, executor: Optional[SweepExecutor]
-) -> SweepArtifact:
-    results = ablation_gateway_placement(scale, executor=executor)
-    flat = {
-        f"{placement}/{scheme}": metrics
-        for placement, by_scheme in results.items()
-        for scheme, metrics in by_scheme.items()
-    }
-    return SweepArtifact(
-        name="placement",
-        text=format_metric_comparison(
-            "Placement ablation — grid vs uniform-random gateways",
-            flat,
-            _ABLATION_METRICS,
-        ),
-        rows=_metrics_rows(flat, "placement_scheme"),
-        raw=results,
     )
 
 
@@ -931,51 +751,246 @@ register_sweep(SweepPreset(
         "fig13", "Fig. 13 — frames sent per node", figure13_overhead, "frames"
     ),
 ))
-register_sweep(SweepPreset(
-    name="alpha",
-    description="EWMA weight α of the RCA-ETX estimator (Eq. 4), five values.",
+
+
+# --------------------------------------------------------------------- #
+# Grid sweeps (ablations and the beyond-the-paper grids)
+# --------------------------------------------------------------------- #
+#: The operating point every grid sweep runs at: the paper's 70 nominal
+#: gateways, scaled like the density figures' x-axis.
+_GRID_NOMINAL_GATEWAYS = 70
+
+#: The printed metric columns of a grid sweep unless it declares others.
+_ABLATION_METRICS = (
+    "mean_delay_s",
+    "throughput_messages",
+    "delivery_ratio",
+    "mean_energy_joules",
+)
+
+#: The metric columns of every grid-sweep row, after its axis columns.
+_ROW_METRICS = (
+    "mean_delay_s",
+    "throughput_messages",
+    "delivery_ratio",
+    "mean_hop_count",
+    "mean_messages_sent_per_node",
+    "mean_energy_joules",
+)
+
+
+@dataclass(frozen=True)
+class SweepAxis:
+    """One dimension of a grid sweep.
+
+    ``column`` names the axis in the artifact rows, ``apply`` sets one value
+    on a configuration and ``label`` formats the value for the printed
+    variant key.  ``values=None`` sweeps the scale's schemes.
+    """
+
+    column: str
+    apply: Callable[[ScenarioConfig, Any], ScenarioConfig]
+    values: Optional[Tuple[Any, ...]] = None
+    label: str = "{}"
+
+    def values_at(self, scale: ReproductionScale) -> Tuple[Any, ...]:
+        return scale.schemes if self.values is None else self.values
+
+
+def _unchanged(config: ScenarioConfig) -> ScenarioConfig:
+    return config
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """A declared sweep: the product of its axes at the 70-gateway point."""
+
+    title: str
+    axes: Tuple[SweepAxis, ...]
+    #: The sweep's fixed setting, applied to the base config before the axes.
+    fixed: Callable[[ScenarioConfig], ScenarioConfig] = _unchanged
+    printed: Tuple[str, ...] = _ABLATION_METRICS
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return tuple(axis.column for axis in self.axes)
+
+
+def run_grid(
+    name: str,
+    grid: SweepGrid,
+    scale: ReproductionScale,
+    executor: Optional[SweepExecutor],
+) -> SweepArtifact:
+    """Run every point of ``grid`` at ``scale``; ``raw`` maps value tuples to metrics."""
+    gateways = max(1, round(_GRID_NOMINAL_GATEWAYS * scale.spatial_scale))
+    base = grid.fixed(scale.base_config().with_gateways(gateways))
+    keys = list(product(*(axis.values_at(scale) for axis in grid.axes)))
+    specs = []
+    for key in keys:
+        config = base
+        for axis, value in zip(grid.axes, key):
+            config = axis.apply(config, value)
+        specs.append(RunSpec(config=config))
+    executor = executor or SweepExecutor()
+    raw = dict(zip(keys, executor.run_metrics(specs)))
+    labelled = {
+        "/".join(axis.label.format(value) for axis, value in zip(grid.axes, key)): metrics
+        for key, metrics in raw.items()
+    }
+    columns = _ROW_METRICS + tuple(m for m in grid.printed if m not in _ROW_METRICS)
+    rows = [
+        {
+            **dict(zip(grid.columns, key)),
+            **{column: getattr(raw[key], column) for column in columns},
+        }
+        for key in sorted(raw)
+    ]
+    return SweepArtifact(
+        name=name,
+        text=format_metric_comparison(grid.title, labelled, grid.printed),
+        rows=rows,
+        raw=raw,
+    )
+
+
+def _register_grid(name: str, description: str, grid: SweepGrid, figure: str = "") -> None:
+    register_sweep(SweepPreset(
+        name=name,
+        description=description,
+        figure=figure,
+        runner=partial(run_grid, name, grid),
+        grid=grid,
+    ))
+
+
+_SCHEMES = SweepAxis("scheme", ScenarioConfig.with_scheme)
+
+_register_grid(
+    "alpha",
+    "EWMA weight α of the RCA-ETX estimator (Eq. 4), five values.",
+    SweepGrid(
+        title="α ablation — EWMA weight of Eq. (4), RCA-ETX",
+        fixed=lambda config: config.with_scheme("rca-etx"),
+        axes=(SweepAxis(
+            "alpha",
+            lambda config, alpha: replace(
+                config, device=replace(config.device, ewma_alpha=alpha)
+            ),
+            values=(0.1, 0.3, 0.5, 0.7, 0.9),
+        ),),
+    ),
     figure="α ablation",
-    runner=_alpha_runner,
-))
-register_sweep(SweepPreset(
-    name="device-class",
-    description="Modified Class-C vs Queue-based Class-A listening policies.",
+)
+_register_grid(
+    "device-class",
+    "Modified Class-C vs Queue-based Class-A listening policies.",
+    SweepGrid(
+        title="Device-class ablation — Modified Class-C vs Queue-based Class-A",
+        fixed=lambda config: config.with_scheme("robc"),
+        axes=(SweepAxis(
+            "device_class",
+            lambda config, device_class: replace(config, device_class=device_class),
+            values=("modified-class-c", "queue-based-class-a"),
+        ),),
+    ),
     figure="Sec. VII-C",
-    runner=_device_class_runner,
-))
-register_sweep(SweepPreset(
-    name="placement",
-    description="Grid vs uniform-random gateway placement, all schemes.",
+)
+_register_grid(
+    "placement",
+    "Grid vs uniform-random gateway placement, all schemes.",
+    SweepGrid(
+        title="Placement ablation — grid vs uniform-random gateways",
+        axes=(
+            SweepAxis(
+                "gateway_placement",
+                lambda config, placement: replace(config, gateway_placement=placement),
+                values=("grid", "random"),
+            ),
+            _SCHEMES,
+        ),
+    ),
     figure="Sec. VII-C",
-    runner=_placement_runner,
-))
-register_sweep(SweepPreset(
-    name="mobility",
-    description=(
+)
+# The paper evaluates one mobility source; swapping the trace generator with
+# everything else fixed shows how much of each scheme's gain is owed to the
+# bus network's route-constrained contact structure.
+_register_grid(
+    "mobility",
+    (
         "Mobility model (london-bus / random-waypoint / grid-manhattan) × "
         "scheme — how much of each scheme's gain the bus-network contact "
         "structure is responsible for."
     ),
-    runner=_mobility_runner,
-))
-register_sweep(SweepPreset(
-    name="routing",
-    description=(
+    SweepGrid(
+        title=(
+            "Mobility sweep — trace model × scheme, bus-network contact "
+            "structure vs synthetic mobility"
+        ),
+        axes=(
+            SweepAxis(
+                "mobility_model",
+                lambda config, model: config.with_mobility(model=model),
+                values=("london-bus", "random-waypoint", "grid-manhattan"),
+            ),
+            _SCHEMES,
+        ),
+    ),
+)
+# The paper fixes a 64-message FIFO tail-drop buffer; this grid opens the
+# buffer-management axis, and the buffer counters (loss vs handover dedup)
+# are its headline comparison, so they are printed too.
+_register_grid(
+    "routing",
+    (
         "Forwarding scheme × buffer policy (drop-new / drop-oldest / "
         "priority-age) × buffer capacity (8 / 64) — the DTN "
         "buffer-management axis, with loss separated from handover "
         "deduplication in the metrics."
     ),
-    runner=_routing_runner,
-))
-register_sweep(SweepPreset(
-    name="multisf",
-    description=(
+    SweepGrid(
+        title="Routing sweep — scheme × buffer policy × capacity",
+        axes=(
+            SweepAxis("scheme", ScenarioConfig.with_scheme, values=("robc", "prophet")),
+            SweepAxis(
+                "buffer_policy",
+                lambda config, policy: config.with_buffer(policy=policy),
+                values=("drop-new", "drop-oldest", "priority-age"),
+            ),
+            SweepAxis(
+                "buffer_capacity",
+                lambda config, capacity: config.with_buffer(capacity=capacity),
+                values=(8, 64),
+                label="cap{}",
+            ),
+        ),
+        printed=_ABLATION_METRICS
+        + ("messages_dropped_full", "messages_rejected_duplicate"),
+    ),
+)
+# The paper fixes one shared SF7 channel; this grid provisions the radio the
+# way EU868 deployments are, measuring how much of the store-carry-forward
+# gain survives when the channel itself decongests.
+_register_grid(
+    "multisf",
+    (
         "Uplink channels (1/3/8) × scheme under distance-based spreading "
         "factors — beyond the paper's single shared SF7 channel."
     ),
-    runner=_multisf_runner,
-))
+    SweepGrid(
+        title="Multi-SF radio sweep — uplink channels × scheme, distance-based SFs",
+        fixed=lambda config: config.with_radio(sf_policy="distance-based"),
+        axes=(
+            SweepAxis(
+                "num_channels",
+                lambda config, channels: config.with_radio(num_channels=channels),
+                values=(1, 3, 8),
+                label="{}ch",
+            ),
+            _SCHEMES,
+        ),
+    ),
+)
 
 
 def resolve_scale(value: Union[str, float, None]) -> ReproductionScale:

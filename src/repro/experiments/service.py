@@ -40,7 +40,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.analysis.metrics import RunMetrics
 from repro.experiments.parallel import RunSpec, SweepExecutor, spec_from_dict
 from repro.experiments.reporting import metrics_to_dict
-from repro.experiments.serialization import ScenarioFormatError, scenario_from_dict
+from repro.experiments.serialization import scenario_from_dict
 
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -326,6 +326,11 @@ class CampaignService:
         return 202, payload
 
     def _spec_from_request(self, request: Mapping[str, Any]) -> RunSpec:
+        if not ("spec" in request or "preset" in request or "scenario" in request):
+            raise ServiceError(
+                400, "submit {'preset': name}, {'scenario': {...}}, "
+                "{'spec': {...}} or {'cache_key': '...'}"
+            )
         try:
             if "spec" in request:
                 return spec_from_dict(request["spec"])
@@ -333,24 +338,16 @@ class CampaignService:
                 from repro.experiments.registry import get_preset
 
                 config = get_preset(str(request["preset"])).config
-            elif "scenario" in request:
-                config = scenario_from_dict(request["scenario"])
             else:
-                raise ServiceError(
-                    400, "submit {'preset': name}, {'scenario': {...}}, "
-                    "{'spec': {...}} or {'cache_key': '...'}"
-                )
-        except (KeyError, ValueError, ScenarioFormatError) as exc:
-            if isinstance(exc, ServiceError):
-                raise
+                config = scenario_from_dict(request["scenario"])
+            return RunSpec(
+                config=config,
+                nominal_gateways=request.get("nominal_gateways"),
+                replicate=request.get("replicate", 0),
+            )
+        except (KeyError, ValueError) as exc:
             message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
             raise ServiceError(400, f"bad run request: {message}")
-        nominal = request.get("nominal_gateways")
-        return RunSpec(
-            config=config,
-            nominal_gateways=None if nominal is None else int(nominal),
-            replicate=int(request.get("replicate", 0)),
-        )
 
 
 def serve_forever(

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.registry import apply_overrides
+from repro.experiments.serialization import ScenarioFormatError, scenario_from_dict
+
+FLOAT_FIELDS = ("duration_s", "area_km2", "gateway_range_m", "device_range_m")
 
 
 class TestScenarioConfig:
@@ -58,3 +62,18 @@ class TestScenarioConfig:
             ScenarioConfig(gateway_placement="hexagon")
         with pytest.raises(ValueError):
             ScenarioConfig(min_block_repeats=3, max_block_repeats=1)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+        with pytest.raises(ScenarioFormatError, match=name):
+            scenario_from_dict({name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="scale"):
+            ScenarioConfig().scaled(value)
+        with pytest.raises(ValueError, match="scale"):
+            apply_overrides(ScenarioConfig(), scale=value)

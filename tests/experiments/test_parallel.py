@@ -249,6 +249,41 @@ class TestWireFormat:
         assert spec_from_dict(json.loads(payload)) == RunSpec(config=tiny_config)
 
 
+class TestSpecValidation:
+    """Both fields are spelled into the cache key, so the key grammar is
+    enforced where a spec is built, not where the store first parses it."""
+
+    @pytest.mark.parametrize("nominal", [0, -5, "x", "40", 40.0, True, [1]])
+    def test_bad_nominal_gateways_rejected(self, tiny_config, nominal):
+        with pytest.raises(ValueError, match="nominal_gateways"):
+            RunSpec(config=tiny_config, nominal_gateways=nominal)
+
+    @pytest.mark.parametrize("replicate", [-1, "0", 1.0, False, None, [1]])
+    def test_bad_replicate_rejected(self, tiny_config, replicate):
+        with pytest.raises(ValueError, match="replicate"):
+            RunSpec(config=tiny_config, replicate=replicate)
+
+    def test_valid_fields_accepted(self, tiny_config):
+        import numpy as np
+
+        spec = RunSpec(config=tiny_config, nominal_gateways=np.int64(40), replicate=0)
+        assert spec.cache_key().endswith("-40-0")
+
+    @pytest.mark.parametrize(
+        "patch",
+        [{"nominal_gateways": -5}, {"replicate": -1}, {"replicate": [1]}, {"scenario": 5}],
+    )
+    def test_malformed_wire_spec_is_a_value_error(self, tiny_config, patch):
+        payload = {**spec_to_dict(RunSpec(config=tiny_config)), **patch}
+        with pytest.raises(ValueError):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [5, ["scenario"], {}])
+    def test_non_object_wire_spec_is_a_value_error(self, payload):
+        with pytest.raises(ValueError):
+            spec_from_dict(payload)
+
+
 class TestSeedDerivation:
     def test_pinned_value(self):
         # Guards the derivation scheme itself: changing the hash recipe would

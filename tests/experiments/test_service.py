@@ -154,6 +154,40 @@ class TestService:
         status, _ = _request(service, "POST", "/health")
         assert status == 405
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"nominal_gateways": "x"},
+            {"nominal_gateways": -5},
+            {"nominal_gateways": True},
+            {"replicate": [1]},
+            {"replicate": -1},
+        ],
+    )
+    def test_malformed_spec_fields_are_a_400_and_queue_nothing(self, service, extra):
+        jobs_before = dict(service.jobs)
+        status, payload = _request(
+            service, "POST", "/runs", {"preset": "urban-smoke", **extra}
+        )
+        assert status == 400, payload
+        assert "bad run request" in payload["error"]
+        assert service.jobs == jobs_before
+
+    def test_malformed_wire_spec_is_a_400(self, service, tiny_config):
+        spec = {"scenario": scenario_to_dict(tiny_config), "replicate": -1}
+        status, payload = _request(service, "POST", "/runs", {"spec": spec})
+        assert status == 400, payload
+        status, payload = _request(service, "POST", "/runs", {"spec": 5})
+        assert status == 400, payload
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scenario_float_is_a_400(self, service, tiny_config, value):
+        scenario = {**scenario_to_dict(tiny_config), "duration_s": value}
+        # json.dumps writes the NaN/Infinity literals the service's parser accepts.
+        status, payload = _request(service, "POST", "/runs", {"scenario": scenario})
+        assert status == 400, payload
+        assert "duration_s" in payload["error"]
+
     def test_executor_without_store_is_rejected(self):
         with pytest.raises(ValueError, match="store"):
             CampaignService(SweepExecutor(workers=1))
