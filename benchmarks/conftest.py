@@ -6,10 +6,11 @@ but density-preserving scale (see DESIGN.md / EXPERIMENTS.md).  Figures 8, 9,
 run once per session and shared.
 
 Every benchmark session also writes a ``BENCH_results.json`` artifact with
-the per-benchmark wall-clock times (override the location with the
-``REPRO_BENCH_RESULTS`` environment variable, or set it to an empty string to
-disable).  CI uploads the file per run, so the performance trajectory is
-comparable across PRs without scraping pytest output.
+the per-benchmark wall-clock times and peak resident set size (override the
+location with the ``REPRO_BENCH_RESULTS`` environment variable, or set it to
+an empty string to disable).  CI uploads the file per run, so the time and
+memory trajectories are comparable across PRs without scraping pytest
+output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import os
 import platform
 import sys
 import time
-from typing import Dict
+from typing import Dict, Optional
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import pytest
 
@@ -70,6 +76,21 @@ def _results_path() -> str:
     return os.environ.get(BENCH_RESULTS_ENV_VAR, DEFAULT_BENCH_RESULTS_PATH)
 
 
+def _peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MiB (``ru_maxrss``).
+
+    The peak is process-wide and never falls, so a benchmark's value is the
+    high-water mark of the session up to the end of that benchmark; run one
+    benchmark per session (as the nightly megacity job does) to read its own
+    peak.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Kilobytes on Linux, bytes on macOS.
+    return round(peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0), 1)
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     """Capture per-round benchmark stats so the artifact can record best-of-N.
@@ -92,11 +113,12 @@ def pytest_runtest_call(item):
 
 
 def pytest_runtest_logreport(report):
-    """Record the wall-clock of every benchmark test's call phase."""
+    """Record the wall-clock and peak RSS of every benchmark test's call phase."""
     if report.when != "call":
         return
     _BENCH_DURATIONS[report.nodeid] = {
         "wall_time_s": round(report.duration, 6),
+        "peak_rss_mb": _peak_rss_mb(),
         "outcome": report.outcome,
         **_BENCH_BEST.get(report.nodeid, {}),
     }

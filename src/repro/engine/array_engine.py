@@ -6,18 +6,22 @@ required to produce **bit-identical** :class:`~repro.analysis.metrics.RunMetrics
 The object engine stays the oracle; this engine restructures the hot loops
 around array-shaped state:
 
-* **Per-tick gateway prefilter.**  Device positions at every tick of the
-  ``engine.tick_s`` grid are precomputed in one NumPy batch per trace
-  (struct-of-arrays: an ``(n_devices, n_ticks, 2)`` position table plus
-  per-device activity spans and speed-derived safety margins).  A
-  transmission slot first consults the tick's vectorized
-  distance-to-gateway mask; only devices with at least one candidate
-  gateway pay for an exact position interpolation and link computation.
-  The exact recomputation calls the *same*
-  :meth:`~repro.network.topology.TimeVaryingTopology._link_state` code the
-  oracle calls, so connectivity decisions and RSSI values are identical by
-  construction.  The margin is derived from each trace's maximum segment
-  speed, so the prefilter is a strict superset of the oracle's disc query.
+* **Static gateway grid.**  Gateways never move, so they are binned once
+  per run into a uniform grid whose cell is at least the largest gateway
+  prune radius.  Device positions at every tick of the ``engine.tick_s``
+  grid are precomputed per trace (struct-of-arrays: ``(n_ticks,
+  n_devices)`` x and y tables plus per-device activity spans and
+  speed-derived safety margins).  Each tick, a device's candidate gateways
+  come from the 3×3 cell block around its tick position, filtered by the
+  squared-distance test against its reach; no ``(n_devices, n_gateways)``
+  array is ever built.  Only devices with at least one candidate pay for an
+  exact position interpolation and link computation, which calls the
+  *same* :meth:`~repro.network.topology.TimeVaryingTopology._link_state`
+  code the oracle calls, so connectivity decisions and RSSI values are
+  identical by construction.  The reach adds the trace's maximum segment
+  speed times ``tick_s`` and
+  :data:`~repro.network.spatial.RANGE_MASK_SLACK_M` to the range, so the
+  candidacy is a superset of the oracle's ``math.hypot`` disc query.
 * **Disconnected fast path.**  In non-forwarding scenarios a slot with no
   candidate gateway cannot be observed by anything: the frame reaches no
   receiver, the reception resolution draws no randomness, and the queue
@@ -61,7 +65,7 @@ import math
 from bisect import bisect_right
 from dataclasses import replace as dataclass_replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +76,8 @@ from repro.mac.device_classes import ModifiedClassC
 from repro.mac.frames import METRIC_FIELD_BYTES, PACKET_OVERHEAD_BYTES
 from repro.mac.network_server import NetworkServer
 from repro.mac.queueing import BufferPolicy
+from repro.mobility.trace import MobilityTrace
+from repro.network.spatial import RANGE_MASK_SLACK_M
 from repro.phy.collision import Transmission
 from repro.phy.constants import MAX_PHY_PAYLOAD_BYTES
 from repro.phy.energy import RadioState
@@ -92,6 +98,150 @@ _BUCKET_COMPACT_THRESHOLD = 512
 
 _TX = RadioState.TX
 _NEG_INF = float("-inf")
+
+#: Relative padding of the gateway grid's cell over the largest reach, so
+#: float rounding in the cell arithmetic can never put an in-reach gateway
+#: two cells away.
+_GRID_CELL_PAD = 1e-9
+
+#: Samples per block in :func:`max_segment_speeds`: bounds its transient
+#: arrays at a few MB however many samples the fleet's traces hold.
+_SPEED_CHUNK_SAMPLES = 1 << 14
+
+
+def max_segment_speeds(
+    traces: Sequence[MobilityTrace], chunk_samples: int = _SPEED_CHUNK_SAMPLES
+) -> np.ndarray:
+    """Each trace's maximum segment speed ``max(hypot(dx, dy) / dt)``.
+
+    One vectorized pass over the traces' concatenated samples, in blocks of
+    whole traces of about ``chunk_samples`` samples.  In a block the
+    pseudo-segment from one trace's last sample to the next trace's first is
+    zeroed, which also gives single-sample traces a speed of 0; segment
+    speeds are non-negative, so ``np.maximum.reduceat`` over each trace's
+    slice is exactly its own maximum.
+    """
+    lengths = np.fromiter(
+        (t._times_array.size for t in traces), dtype=np.int64, count=len(traces)
+    )
+    ends = np.cumsum(lengths)
+    speeds_out = np.empty(len(traces), dtype=float)
+    start = 0
+    while start < len(traces):
+        first_sample = ends[start] - lengths[start]
+        stop = int(np.searchsorted(ends, first_sample + chunk_samples, side="right"))
+        stop = max(stop, start + 1)
+        block = traces[start:stop]
+        block_ends = ends[start:stop] - first_sample
+        times = np.concatenate([t._times_array for t in block])
+        dx = np.diff(np.concatenate([t._xs_array for t in block]))
+        dy = np.diff(np.concatenate([t._ys_array for t in block]))
+        np.hypot(dx, dy, out=dx)
+        speeds = np.zeros(times.size, dtype=float)
+        # Only the cross-trace pseudo-segments, zeroed below, divide badly.
+        with np.errstate(all="ignore"):
+            np.divide(dx, np.diff(times), out=speeds[:-1])
+        speeds[block_ends - 1] = 0.0
+        speeds_out[start:stop] = np.maximum.reduceat(
+            speeds, block_ends - lengths[start:stop]
+        )
+        start = stop
+    return speeds_out
+
+
+class GatewayGrid:
+    """Static gateways binned once into square cells no smaller than a reach.
+
+    :meth:`candidates` answers, for a whole batch of device positions with
+    per-device reach ``r_i <= max_reach_m``, which gateways pass the
+    squared-distance test ``dx*dx + dy*dy <= r_i*r_i``.  A gateway within
+    ``r_i`` of a device lies in the 3×3 cell block around the device's cell,
+    so only that block is tested.  The result is exactly the dense
+    device × gateway mask, in gateway insertion order, without building it.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, max_reach_m: float) -> None:
+        if not max_reach_m > 0:
+            raise ValueError(f"max_reach_m must be positive, got {max_reach_m}")
+        self.cell_m = float(max_reach_m) * (1.0 + _GRID_CELL_PAD)
+        self._xs = np.asarray(xs, dtype=float)
+        self._ys = np.asarray(ys, dtype=float)
+        if not self._xs.size:
+            self._keys = np.empty(0, dtype=np.int64)
+            return
+        cx = np.floor(self._xs / self.cell_m)
+        cy = np.floor(self._ys / self.cell_m)
+        self._lo = (cx.min(), cy.min())
+        self._hi = (cx.max(), cy.max())
+        self._height = int(self._hi[1] - self._lo[1]) + 1
+        self._width = int(self._hi[0] - self._lo[0]) + 1
+        keys = self._cell_keys(cx - self._lo[0], cy - self._lo[1])
+        # Stable: gateways sharing a cell stay in insertion order.
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+
+    def _cell_keys(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        return cx.astype(np.int64) * self._height + cy.astype(np.int64)
+
+    def candidates(
+        self, px: np.ndarray, py: np.ndarray, reach_sq: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR candidacy: device ``i``'s gateways are ``gw[ptr[i]:ptr[i + 1]]``.
+
+        ``reach_sq`` holds each device's squared reach; every reach must be
+        at most the grid's ``max_reach_m``.  Gateway indices are ascending
+        within a device.
+        """
+        n = px.size
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        if not self._keys.size:
+            return ptr, np.empty(0, dtype=np.int64)
+        # Devices more than one cell outside the gateway extent have no
+        # candidates; clipping their cell keeps the key arithmetic bounded.
+        dcx = np.clip(np.floor(px / self.cell_m), self._lo[0] - 2, self._hi[0] + 2)
+        dcy = np.clip(np.floor(py / self.cell_m), self._lo[1] - 2, self._hi[1] + 2)
+        dcx -= self._lo[0]
+        dcy -= self._lo[1]
+        # Keys run along y within an x column, so each column of the 3×3
+        # block is one contiguous key range.
+        lo_y = np.maximum(dcy - 1, 0)
+        hi_y = np.minimum(dcy + 1, self._height - 1)
+        in_y = lo_y <= hi_y
+        devices: List[np.ndarray] = []
+        gateways: List[np.ndarray] = []
+        for ox in (-1.0, 0.0, 1.0):
+            tx = dcx + ox
+            dev = np.flatnonzero(in_y & (tx >= 0) & (tx < self._width))
+            start = np.searchsorted(
+                self._keys, self._cell_keys(tx[dev], lo_y[dev]), side="left"
+            )
+            counts = (
+                np.searchsorted(
+                    self._keys, self._cell_keys(tx[dev], hi_y[dev]), side="right"
+                )
+                - start
+            )
+            total = int(counts.sum())
+            if not total:
+                continue
+            dev = np.repeat(dev, counts)
+            # Flat slot of each (device, gateway) pair in the sorted gateway
+            # order: the range's start plus the pair's rank in it.
+            ends = np.cumsum(counts)
+            slot = np.repeat(start - ends + counts, counts) + np.arange(total)
+            gw = self._order[slot]
+            dx = px[dev] - self._xs[gw]
+            dy = py[dev] - self._ys[gw]
+            keep = (dx * dx + dy * dy) <= reach_sq[dev]
+            devices.append(dev[keep])
+            gateways.append(gw[keep])
+        if not devices:
+            return ptr, np.empty(0, dtype=np.int64)
+        dev = np.concatenate(devices)
+        gw = np.concatenate(gateways)
+        order = np.lexsort((gw, dev))
+        np.cumsum(np.bincount(dev, minlength=n), out=ptr[1:])
+        return ptr, gw[order]
 
 
 class ArrayMLoRaSimulation:
@@ -194,8 +344,10 @@ class ArrayMLoRaSimulation:
         self._sinks = [scenario.topology.sinks[g] for g in self._gateway_ids]
         self._tick_s = self.config.engine.tick_s
         self._current_tick = -1
-        self._tick_any: List[bool] = []
-        self._tick_mask: Optional[np.ndarray] = None
+        # This tick's gateway candidacy in CSR form: device ``i``'s candidate
+        # gateway indices are ``_tick_gw[_tick_gw_ptr[i]:_tick_gw_ptr[i + 1]]``.
+        self._tick_gw_ptr: List[int] = []
+        self._tick_gw: List[int] = []
         if not self._exact_topology and self._devices:
             self._build_prefilter()
         self._fast_path_ok = not self._uses_forwarding and not self._exact_topology
@@ -213,48 +365,52 @@ class ArrayMLoRaSimulation:
     # Prefilter construction
     # ------------------------------------------------------------------ #
     def _build_prefilter(self) -> None:
-        """Precompute per-tick device positions and per-device reach margins.
+        """Precompute per-tick device positions, reach margins and the grid.
 
         For a query at time ``t`` inside tick ``k`` the device has moved at
         most ``max_segment_speed * tick_s`` metres from its (activity-clamped)
-        position at the tick start, so a disc of radius
-        ``gateway_range_m + margin`` around that position is a strict
-        superset of the oracle's range query at ``t``.
+        position at the tick start, so a disc of radius ``gateway_range_m +
+        margin + RANGE_MASK_SLACK_M`` around that position is a superset of
+        the oracle's range query at ``t``; the slack covers the rounding of
+        the squared-distance test against the oracle's ``math.hypot``.  The
+        gateways are binned once into a :class:`GatewayGrid` whose cell is
+        the largest such radius.
         """
-        n_devices = len(self._devices)
+        traces = self._traces
+        n_devices = len(traces)
         n_ticks = int(math.floor(self._duration / self._tick_s)) + 1
         tick_times = np.arange(n_ticks, dtype=float) * self._tick_s
-        positions = np.empty((n_devices, n_ticks, 2), dtype=float)
-        margins = np.empty((n_devices, 1), dtype=float)
-        for i, trace in enumerate(self._traces):
+        # (n_ticks, n_devices): one tick's coordinates are a contiguous row.
+        tick_x = np.empty((n_ticks, n_devices), dtype=float)
+        tick_y = np.empty((n_ticks, n_devices), dtype=float)
+        for i, trace in enumerate(traces):
             clamped = np.clip(tick_times, trace.start_time, trace.end_time)
-            positions[i] = trace.positions_at(clamped)
-            times = trace._times_array
-            if times.size > 1:
-                steps = np.hypot(np.diff(trace._xs_array), np.diff(trace._ys_array))
-                speed = float(np.max(steps / np.diff(times)))
-            else:
-                speed = 0.0
-            margins[i, 0] = speed * self._tick_s
-        self._tick_pos = positions
-        gateway_range = self.scenario.topology.config.gateway_range_m
-        reach = gateway_range + margins
-        self._reach_sq = reach * reach
-        self._gw_x = np.asarray([s.position.x for s in self._sinks], dtype=float)
-        self._gw_y = np.asarray([s.position.y for s in self._sinks], dtype=float)
+            positions = trace.positions_at(clamped)
+            tick_x[:, i] = positions[:, 0]
+            tick_y[:, i] = positions[:, 1]
+        self._tick_x = tick_x
+        self._tick_y = tick_y
+        margins = max_segment_speeds(traces) * self._tick_s
+        gateway_reach = (
+            self.scenario.topology.config.gateway_range_m + margins + RANGE_MASK_SLACK_M
+        )
+        self._reach_sq = gateway_reach * gateway_reach
+        self._gateway_grid = GatewayGrid(
+            np.asarray([s.position.x for s in self._sinks], dtype=float),
+            np.asarray([s.position.y for s in self._sinks], dtype=float),
+            float(gateway_reach.max()),
+        )
         if self._uses_forwarding:
-            self._build_overhear_tables(positions, margins[:, 0])
+            self._build_overhear_tables(margins)
 
-    def _build_overhear_tables(
-        self, positions: np.ndarray, margins: np.ndarray
-    ) -> None:
+    def _build_overhear_tables(self, margins: np.ndarray) -> None:
         """Precompute the arrays behind the batched overhear candidacy.
 
         Per-slot neighbour candidacy is one vectorized disc test over the
         whole fleet's tick positions: device ``j`` is a candidate overhearer
         of a transmitter at exact position ``p`` when its tick position lies
-        within ``device_range_m + margin_j`` of ``p`` — the same
-        strict-superset argument the gateway prefilter uses.  Static receiver
+        within ``device_range_m + margin_j + RANGE_MASK_SLACK_M`` of ``p`` —
+        the same superset argument the gateway candidacy uses.  Static receiver
         masks (overhear-capable device class, matching channel and SF) are
         held as NumPy bool arrays and folded in per (tick, channel, SF);
         survivors then run the exact scalar position/link arithmetic.
@@ -263,12 +419,8 @@ class ArrayMLoRaSimulation:
         devices = self._devices
         n = len(devices)
         device_range = topology.config.device_range_m
-        reach = device_range + margins
+        reach = device_range + margins + RANGE_MASK_SLACK_M
         self._dev_reach_sq = reach * reach
-        # Tick positions transposed to (n_ticks, n_devices) so one tick's
-        # coordinates are a contiguous row.
-        self._tick_x = np.ascontiguousarray(positions[:, :, 0].T)
-        self._tick_y = np.ascontiguousarray(positions[:, :, 1].T)
         # Static listening categories.  ModifiedClassC always listens
         # (fraction 1.0 regardless of state), ClassA/ClassC never overhear
         # devices; anything else (QueueBasedClassA, custom classes) keeps the
@@ -314,12 +466,18 @@ class ArrayMLoRaSimulation:
         ]
 
     def _refresh_tick(self, tick: int) -> None:
-        pos = self._tick_pos[:, tick, :]
-        dx = pos[:, 0, None] - self._gw_x[None, :]
-        dy = pos[:, 1, None] - self._gw_y[None, :]
-        mask = (dx * dx + dy * dy) <= self._reach_sq
-        self._tick_mask = mask
-        self._tick_any = mask.any(axis=1).tolist()
+        """Recompute the gateway candidacy (and receiver spans) for ``tick``.
+
+        The candidacy comes from the static gateway grid: each device tests
+        only the gateways in the 3×3 cell block around its tick position,
+        with the same squared-distance test and reach a dense device ×
+        gateway mask would apply, so the CSR result equals that mask's rows.
+        """
+        ptr, gw = self._gateway_grid.candidates(
+            self._tick_x[tick], self._tick_y[tick], self._reach_sq
+        )
+        self._tick_gw_ptr = ptr.tolist()
+        self._tick_gw = gw.tolist()
         self._current_tick = tick
         if self._uses_forwarding:
             # Receiver masks are per (tick, channel, SF): static receiver
@@ -336,15 +494,16 @@ class ArrayMLoRaSimulation:
         tick = int(now // self._tick_s)
         if tick != self._current_tick:
             self._refresh_tick(tick)
-        return self._tick_any[index]
+        ptr = self._tick_gw_ptr
+        return ptr[index] != ptr[index + 1]
 
     def _gateways_in_range(
         self, index: int, now: float, position=None
     ) -> List[tuple]:
         """Replica of ``topology.gateways_in_range`` behind the prefilter.
 
-        Candidates come from the tick mask (a superset of the oracle's disc
-        query, in the same gateway insertion order); the survivors run
+        Candidates come from the tick's grid candidacy (a superset of the
+        oracle's disc query, in the same gateway insertion order); they run
         through the identical ``_link_state`` arithmetic, so the returned
         pairs are bit-identical to the oracle's.  Callers that already hold
         the device's exact position pass it to skip the re-interpolation.
@@ -361,9 +520,11 @@ class ArrayMLoRaSimulation:
                 return []
         capacity_model = topology.capacity_model_for(device_id)
         gateway_range = topology.config.gateway_range_m
+        ptr = self._tick_gw_ptr
+        sinks = self._sinks
         result = []
-        for gi in np.flatnonzero(self._tick_mask[index]):
-            sink = self._sinks[gi]
+        for gi in self._tick_gw[ptr[index] : ptr[index + 1]]:
+            sink = sinks[gi]
             state = topology._link_state(
                 position, sink.position, gateway_range, capacity_model
             )
@@ -469,14 +630,15 @@ class ArrayMLoRaSimulation:
             self._schedule_attempt(index, next_allowed)
             return
         if self._fast_path_ok:
-            # Inlined tick-prefilter check, then the exact disc query.  An
-            # empty result — whether the tick mask was empty or a margin
-            # false positive — means the slot is a disconnected slot, and in
-            # a non-forwarding scenario those take the fast path.
+            # Inlined tick-candidacy check, then the exact disc query.  An
+            # empty result — whether the tick had no candidate or only a
+            # margin false positive — means the slot is a disconnected slot,
+            # and in a non-forwarding scenario those take the fast path.
             tick = int(now // self._tick_s)
             if tick != self._current_tick:
                 self._refresh_tick(tick)
-            if self._tick_any[index]:
+            ptr = self._tick_gw_ptr
+            if ptr[index] != ptr[index + 1]:
                 gateways = self._gateways_in_range(index, now)
                 if gateways:
                     self._full_uplink(index, self._devices[index], now, gateways)

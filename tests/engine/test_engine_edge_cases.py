@@ -2,12 +2,15 @@
 
 Boundary conditions the differential property suite is unlikely to sample:
 empty fleets, devices that never reach a gateway, duty-cycle denials landing
-exactly on the array engine's prefilter tick boundary, and the end-of-run
-clock landing when the array engine's heap drains before ``duration_s``.
+exactly on the array engine's prefilter tick boundary, the end-of-run
+clock landing when the array engine's heap drains before ``duration_s``, and
+static nodes exactly at range, where the squared-distance prefilter must
+still admit what the oracle's ``math.hypot`` disc admits.
 ``ScenarioConfig`` validation requires at least one route, so these scenarios
 are assembled by hand through the ``manual_scenario`` factory.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -103,3 +106,59 @@ class TestClockLandsOnUntil:
         assert array_metrics.messages_delivered == 1
         assert array_sim.now == pytest.approx(config.duration_s, abs=0.0)
         assert object_sim.simulator.now == pytest.approx(config.duration_s, abs=0.0)
+
+
+#: ``math.hypot`` of this offset is exactly 1000.0, but ``x*x + y*y`` rounds
+#: above 1000.0**2: a squared-distance test without slack rejects a pair the
+#: oracle's disc query accepts.  Halving it (exact in binary floating point)
+#: gives the same situation at 500 m.
+_BOUNDARY_OFFSET = (516.9236669530741, -856.0314962335133)
+
+
+class TestStaticNodeExactlyAtRange:
+    def test_offset_sits_on_the_rounding_edge(self):
+        x, y = _BOUNDARY_OFFSET
+        assert math.hypot(x, y) == 1000.0
+        assert x * x + y * y > 1000.0 * 1000.0
+        assert math.hypot(x / 2, y / 2) == 500.0
+        assert (x / 2) * (x / 2) + (y / 2) * (y / 2) > 500.0 * 500.0
+
+    def test_gateway_at_range_delivers_on_both_engines(self, manual_scenario):
+        # A static device has a zero speed margin, so only the slack keeps
+        # the gateway a candidate.
+        config = ScenarioConfig(duration_s=3600)
+        assert config.gateway_range_m == 1000.0
+        devices = {"bus-000": Point(*_BOUNDARY_OFFSET)}
+        gateways = {"gw-000": Point(0.0, 0.0)}
+        object_sim, array_sim = _run_pair(manual_scenario, config, devices, gateways)
+        object_metrics = object_sim.run()
+        array_metrics = array_sim.run()
+        assert object_metrics.messages_delivered == 20
+        assert array_metrics == object_metrics
+
+    def test_overhear_candidates_match_neighbours_at_range(self, manual_scenario):
+        config = ScenarioConfig(duration_s=600, scheme="robc")
+        assert config.device_range_m == 500.0
+        x, y = _BOUNDARY_OFFSET
+        devices = {"bus-000": Point(0.0, 0.0), "bus-001": Point(x / 2, y / 2)}
+        # No gateway in reach, so only the device-to-device link matters.
+        gateways = {"gw-000": Point(100_000.0, 0.0)}
+        scenario = manual_scenario(config, devices, gateways)
+        sim = ArrayMLoRaSimulation(scenario)
+        expected = [
+            (neighbour_id, link.rssi_dbm)
+            for neighbour_id, link in scenario.topology.neighbours("bus-000", 0.0)
+        ]
+        assert [neighbour_id for neighbour_id, _ in expected] == ["bus-001"]
+        rssi_by_receiver = {}
+        overhearers = {}
+        sim._collect_overhearers(
+            0,
+            scenario.devices["bus-000"],
+            0.0,
+            Point(0.0, 0.0),
+            rssi_by_receiver,
+            overhearers,
+        )
+        assert list(overhearers.items()) == expected
+        assert rssi_by_receiver == overhearers
