@@ -1,5 +1,6 @@
-"""Golden lock on the six grid sweeps (alpha, device-class, placement,
-multisf, mobility, routing).
+"""Golden lock on every simulated sweep: the six grid sweeps (alpha,
+device-class, placement, multisf, mobility, routing) and the figure sweeps
+(Figs. 8–13).
 
 The simulation is replaced by a fake whose metrics are a pure function of
 ``config_digest(config)``, so a whole sweep runs in milliseconds.  For each
@@ -12,12 +13,16 @@ sweep at the smoke and benchmark scales the test pins:
 * every row value.
 
 ``sweep_goldens.json`` was recorded before the sweeps became declarative
-grids.  The one intended difference since then: ``placement`` rows split
+grids (the figure sweeps' entries before Figs. 8–13 did).  The density
+figures (8, 9, 12, 13) compare their cache keys as sorted lists: their
+submission order is not part of the contract.  The one intended difference since then: ``placement`` rows split
 their single ``placement_scheme`` column (``"grid/robc"``) into one column
 per axis, which :func:`_expected_rows` derives from the recorded rows.
 
-Re-record (only when a sweep change is intended) with
-``PYTHONPATH=src python tests/experiments/test_sweep_goldens.py``.
+Record a newly added sweep with
+``PYTHONPATH=src python tests/experiments/test_sweep_goldens.py``; it never
+rewrites an existing entry (delete one to re-record it, and only when a
+sweep change is intended).
 """
 
 from __future__ import annotations
@@ -50,6 +55,16 @@ GRID_AXES = {
     "routing": ("scheme", "buffer_policy", "buffer_capacity"),
 }
 
+#: The figure sweeps, and whether each one's cache keys are compared sorted.
+FIGURE_KEYS_SORTED = {
+    "fig8": True,
+    "fig9": True,
+    "fig10": False,
+    "fig11": False,
+    "fig12": True,
+    "fig13": True,
+}
+
 
 def fake_run_scenario(config: ScenarioConfig) -> RunMetrics:
     """Deterministic stand-in metrics derived from the config digest."""
@@ -72,20 +87,24 @@ def fake_run_scenario(config: ScenarioConfig) -> RunMetrics:
         energy_joules_per_device={
             f"d{i}": v / 16.0 for i, v in enumerate(values[16:20])
         },
+        delivery_times_s=sorted(v * config.duration_s / 256.0 for v in values[20:32]),
     )
 
 
 class RecordingExecutor(SweepExecutor):
-    """An in-process executor that remembers the cache keys it was given."""
+    """An in-process executor that remembers the cache keys it was given.
+
+    It records in ``_execute``, the one path both :meth:`SweepExecutor.run`
+    and :meth:`SweepExecutor.iter_outcomes` go through.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self.cache_keys: List[str] = []
 
-    def run_metrics(self, specs: Sequence[RunSpec]) -> List[RunMetrics]:
-        specs = list(specs)
+    def _execute(self, specs: Sequence[RunSpec]):
         self.cache_keys.extend(spec.cache_key() for spec in specs)
-        return super().run_metrics(specs)
+        return super()._execute(specs)
 
 
 def run_sweep(name: str, scale_name: str) -> Dict[str, Any]:
@@ -110,7 +129,9 @@ def _expected_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return expected
 
 
-CASES = [(name, scale) for name in GRID_AXES for scale in SCALES]
+CASES = [
+    (name, scale) for name in (*GRID_AXES, *FIGURE_KEYS_SORTED) for scale in SCALES
+]
 
 
 @pytest.fixture
@@ -127,7 +148,10 @@ def goldens() -> Dict[str, Any]:
 def test_sweep_matches_golden(fake_simulation, goldens, name, scale_name):
     golden = goldens[f"{name}@{scale_name}"]
     result = run_sweep(name, scale_name)
-    assert result["cache_keys"] == golden["cache_keys"]
+    if FIGURE_KEYS_SORTED.get(name, False):
+        assert sorted(result["cache_keys"]) == sorted(golden["cache_keys"])
+    else:
+        assert result["cache_keys"] == golden["cache_keys"]
     assert result["text"] == golden["text"]
     assert result["rows"] == _expected_rows(golden["rows"])
 
@@ -147,9 +171,11 @@ def test_grid_sweeps_declare_these_axes():
 
 
 def record() -> None:
-    """Write ``sweep_goldens.json`` from the current sweeps."""
+    """Add the sweeps missing from ``sweep_goldens.json``; never re-record one."""
     parallel.run_scenario = fake_run_scenario
-    data = {f"{name}@{scale}": run_sweep(name, scale) for name, scale in CASES}
+    data = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    for name, scale in CASES:
+        data.setdefault(f"{name}@{scale}", run_sweep(name, scale))
     GOLDEN_PATH.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
