@@ -3,7 +3,7 @@
 The benchmarks reproduce every figure of the paper's evaluation at a reduced
 but density-preserving scale (see DESIGN.md / EXPERIMENTS.md).  Figures 8, 9,
 12 and 13 are all views over the same gateway-density sweep, so that sweep is
-run once per session and shared.
+run once per session into a shared result store.
 
 Every benchmark session also writes a ``BENCH_results.json`` artifact with
 the per-benchmark wall-clock times and peak resident set size (override the
@@ -33,8 +33,9 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.figures import ReproductionScale, run_density_sweep  # noqa: E402
+from repro.experiments.figures import ReproductionScale  # noqa: E402
 from repro.experiments.parallel import SweepExecutor  # noqa: E402
+from repro.experiments.registry import get_sweep  # noqa: E402
 
 #: Scale used for the density sweep behind Figs. 8, 9, 12 and 13.
 SWEEP_SCALE = ReproductionScale(
@@ -149,10 +150,17 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(scope="session")
-def density_sweep():
-    """The shared (scheme × gateway count × device range) sweep.
+def density_sweep(tmp_path_factory):
+    """An executor whose store holds the shared (scheme × gateway count ×
+    device range) sweep.
 
-    Serial by default; exporting ``REPRO_SWEEP_WORKERS=n`` fans the 18 runs
-    out over ``n`` processes without changing any result.
+    The Fig. 8, 9, 12 and 13 grids declare the same runs, so each figure's
+    runner is served from this store.  Serial by default; exporting
+    ``REPRO_SWEEP_WORKERS=n`` fans the 18 runs out over ``n`` processes
+    without changing any result.
     """
-    return run_density_sweep(SWEEP_SCALE, executor=SweepExecutor.from_env())
+    executor = SweepExecutor.from_env(
+        cache_dir=tmp_path_factory.mktemp("density-sweep")
+    )
+    get_sweep("fig9").runner(SWEEP_SCALE, executor)
+    return executor

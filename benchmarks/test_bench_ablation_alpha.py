@@ -14,5 +14,5 @@ def test_bench_ablation_alpha(benchmark):
     )
     print()
     print(artifact.text)
-    assert set(artifact.raw) == {(alpha,) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)}
-    assert all(run.messages_delivered > 0 for run in artifact.raw.values())
+    assert set(artifact.raw.runs) == {(alpha,) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)}
+    assert all(run.messages_delivered > 0 for run in artifact.raw.runs.values())

@@ -14,9 +14,9 @@ def test_bench_ablation_placement(benchmark):
     )
     print()
     print(artifact.text)
-    assert set(artifact.raw) == {
+    assert set(artifact.raw.runs) == {
         (placement, scheme)
         for placement in ("grid", "random")
         for scheme in ABLATION_SCALE.schemes
     }
-    assert all(run.messages_delivered > 0 for run in artifact.raw.values())
+    assert all(run.messages_delivered > 0 for run in artifact.raw.runs.values())

@@ -18,8 +18,8 @@ def test_bench_ablation_queue_class_a(benchmark):
     )
     print()
     print(artifact.text)
-    modified_c = artifact.raw[("modified-class-c",)]
-    queue_a = artifact.raw[("queue-based-class-a",)]
+    modified_c = artifact.raw.runs[("modified-class-c",)]
+    queue_a = artifact.raw.runs[("queue-based-class-a",)]
     # Energy must not increase, throughput must stay in the same ballpark.
     assert queue_a.mean_energy_joules <= modified_c.mean_energy_joules * 1.01
     assert queue_a.throughput_messages >= 0.7 * modified_c.throughput_messages

@@ -6,10 +6,9 @@ density sweep and reports the same rows as the paper's Fig. 8.
 """
 
 from benchmarks.conftest import SWEEP_SCALE
-from repro.experiments.figures import figure08_delay
-from repro.experiments.reporting import format_figure_rows
+from repro.experiments.figures import URBAN_DEVICE_RANGE_M
+from repro.experiments.registry import get_sweep
 from repro.experiments.runner import run_scenario
-from repro.experiments.sweeps import URBAN_DEVICE_RANGE_M
 
 
 def _representative_run():
@@ -26,11 +25,11 @@ def test_bench_fig08_delay(benchmark, density_sweep):
     metrics = benchmark.pedantic(_representative_run, rounds=1, iterations=1)
     assert metrics.messages_delivered > 0
 
-    rows = figure08_delay(density_sweep)
+    artifact = get_sweep("fig8").runner(SWEEP_SCALE, density_sweep)
     print()
-    print(format_figure_rows("Fig. 8 — average end-to-end delay", rows, unit="s"))
+    print(artifact.text)
 
     # Acceptance: every (environment, gateway count, scheme) combination has a
     # finite delay and all schemes deliver data at every density.
-    assert len(rows) == 3 * len(SWEEP_SCALE.gateway_counts) * 2
-    assert all(row.value >= 0.0 for row in rows)
+    assert len(artifact.rows) == 3 * len(SWEEP_SCALE.gateway_counts) * 2
+    assert all(row["value"] >= 0.0 for row in artifact.rows)

@@ -1,18 +1,24 @@
 """Fig. 10 — throughput over the day, urban (500 m device-to-device range)."""
 
 from benchmarks.conftest import TIMESERIES_SCALE
-from repro.experiments.figures import figure10_urban_timeseries
-from repro.experiments.reporting import format_timeseries
+from repro.experiments.parallel import SweepExecutor
+from repro.experiments.registry import get_sweep
 
 
 def test_bench_fig10_urban_timeseries(benchmark):
-    series = benchmark.pedantic(
-        figure10_urban_timeseries, args=(TIMESERIES_SCALE,), rounds=1, iterations=1
+    artifact = benchmark.pedantic(
+        get_sweep("fig10").runner,
+        args=(TIMESERIES_SCALE, SweepExecutor()),
+        rounds=1,
+        iterations=1,
     )
     print()
-    print(format_timeseries("Fig. 10 — messages delivered per 10-minute bin", series))
+    print(artifact.text)
 
-    assert series.environment == "urban"
-    assert set(series.series_by_scheme) == set(TIMESERIES_SCALE.schemes)
+    assert artifact.text.splitlines()[0].endswith("(urban)")
+    total = {}
+    for row in artifact.rows:
+        total[row["scheme"]] = total.get(row["scheme"], 0.0) + row["delivered"]
+    assert set(total) == set(TIMESERIES_SCALE.schemes)
     for scheme in TIMESERIES_SCALE.schemes:
-        assert series.total(scheme) > 0
+        assert total[scheme] > 0

@@ -1,30 +1,24 @@
 """Fig. 13 — average number of messages sent per node (energy-overhead proxy)."""
 
 from benchmarks.conftest import SWEEP_SCALE
-from repro.experiments.figures import figure13_overhead
-from repro.experiments.reporting import format_figure_rows
+from repro.experiments.registry import get_sweep
 
 
 def test_bench_fig13_overhead(benchmark, density_sweep):
-    rows = benchmark.pedantic(
-        figure13_overhead, args=(density_sweep,), rounds=1, iterations=1
+    artifact = benchmark.pedantic(
+        get_sweep("fig13").runner, args=(SWEEP_SCALE, density_sweep), rounds=1, iterations=1
     )
     print()
-    print(format_figure_rows("Fig. 13 — messages sent per node", rows, unit="frames"))
+    print(artifact.text)
 
     # Paper: the forwarding schemes send more frames than plain LoRaWAN
     # (1.6x-2.2x in the paper's setting); at minimum they must not send fewer.
+    value = {
+        (row["environment"], row["num_gateways"], row["scheme"]): row["value"]
+        for row in artifact.rows
+    }
     for environment in ("urban", "rural"):
         for count in SWEEP_SCALE.gateway_counts:
-            baseline = next(
-                row.value for row in rows
-                if row.scheme == "no-routing" and row.environment == environment
-                and row.num_gateways == count
-            )
+            baseline = value[environment, count, "no-routing"]
             for scheme in ("rca-etx", "robc"):
-                value = next(
-                    row.value for row in rows
-                    if row.scheme == scheme and row.environment == environment
-                    and row.num_gateways == count
-                )
-                assert value >= 0.95 * baseline
+                assert value[environment, count, scheme] >= 0.95 * baseline

@@ -11,10 +11,9 @@ put a number on both sides of that gate in ``BENCH_results.json``:
 * ``skipped`` — no-routing on the *same* scenario, fan-out bypassed.
 """
 
-from repro.experiments.figures import ReproductionScale
+from repro.experiments.figures import URBAN_DEVICE_RANGE_M, ReproductionScale
 from repro.experiments.runner import MLoRaSimulation
 from repro.experiments.scenario import build_scenario
-from repro.experiments.sweeps import URBAN_DEVICE_RANGE_M
 
 #: A dense slice: many concurrently active buses in device range of each
 #: other, so the overhear fan-out dominates the uplink path.

@@ -1,6 +1,6 @@
 """Serial versus parallel execution of the Fig. 9-style density sweep.
 
-Runs the same (scheme × gateway count) sweep through a ``workers=1`` and a
+Runs the same (scheme × gateway count) grid through a ``workers=1`` and a
 ``workers=4`` :class:`SweepExecutor`, asserts the results are bit-identical,
 and reports the wall-clock speedup.  The speedup assertion only arms on hosts
 with at least eight CPUs (or ``REPRO_BENCH_STRICT=1``): single-shot timings on
@@ -12,10 +12,11 @@ import os
 import time
 
 from benchmarks.conftest import SWEEP_SCALE
-from repro.experiments.figures import ReproductionScale, run_density_sweep
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.figures import URBAN_DEVICE_RANGE_M, ReproductionScale
 from repro.experiments.parallel import SweepExecutor
+from repro.experiments.registry import SweepAxis, SweepGrid, run_grid
 from repro.experiments.reporting import format_table
-from repro.experiments.sweeps import URBAN_DEVICE_RANGE_M
 
 #: A lighter cut of the shared benchmark scale: the sweep runs twice here.
 PARALLEL_SCALE = ReproductionScale(
@@ -25,23 +26,33 @@ PARALLEL_SCALE = ReproductionScale(
     seed=SWEEP_SCALE.seed,
 )
 
+#: The Fig. 9 density grid, urban range only.
+URBAN_GRID = SweepGrid(
+    title="Density sweep, urban",
+    axes=(
+        SweepAxis("scheme", ScenarioConfig.with_scheme),
+        SweepAxis("num_gateways", ScenarioConfig.with_gateways, values="gateway_counts"),
+        SweepAxis(
+            "device_range_m",
+            ScenarioConfig.with_device_range,
+            values=(URBAN_DEVICE_RANGE_M,),
+        ),
+    ),
+)
+
+
+def _sweep(workers):
+    executor = SweepExecutor(workers=workers)
+    return run_grid("parallel", URBAN_GRID, PARALLEL_SCALE, executor).raw
+
 
 def test_bench_parallel_sweep_equivalence_and_speedup(benchmark):
-    ranges = (URBAN_DEVICE_RANGE_M,)
-
     start = time.perf_counter()
-    serial = run_density_sweep(
-        PARALLEL_SCALE, device_ranges_m=ranges, executor=SweepExecutor(workers=1)
-    )
+    serial = _sweep(workers=1)
     serial_s = time.perf_counter() - start
 
-    def parallel_sweep():
-        return run_density_sweep(
-            PARALLEL_SCALE, device_ranges_m=ranges, executor=SweepExecutor(workers=4)
-        )
-
     start = time.perf_counter()
-    parallel = benchmark.pedantic(parallel_sweep, rounds=1, iterations=1)
+    parallel = benchmark.pedantic(_sweep, kwargs={"workers": 4}, rounds=1, iterations=1)
     parallel_s = time.perf_counter() - start
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")

@@ -18,10 +18,9 @@ Usage::
 
 import os
 
-from repro.experiments import SweepExecutor, get_preset
+from repro.experiments import RunSpec, SweepExecutor, get_preset
 from repro.experiments.registry import apply_overrides
 from repro.experiments.reporting import format_table
-from repro.experiments.sweeps import run_gateway_sweep
 
 
 def main() -> None:
@@ -39,22 +38,22 @@ def main() -> None:
         default_workers=os.cpu_count() or 1,
         cache_dir=cache_dir,
     )
-    sweep = run_gateway_sweep(
-        base,
-        gateway_counts=(3, 5, 8),
-        schemes=("no-routing", "rca-etx", "robc"),
-        device_ranges_m=(1000.0,),
-        executor=executor,
-    )
+    points = [
+        (count, scheme)
+        for count in (3, 5, 8)
+        for scheme in ("no-routing", "rca-etx", "robc")
+    ]
+    specs = [
+        RunSpec(config=base.with_scheme(scheme).with_gateways(count), nominal_gateways=count)
+        for count, scheme in points
+    ]
 
     rows = []
-    for count in sweep.gateway_counts():
-        for scheme in sweep.schemes():
-            run = sweep.get(scheme, count, 1000.0)
-            rows.append(
-                (count, scheme, f"{run.mean_delay_s:.1f}", run.throughput_messages,
-                 f"{run.delivery_ratio:.2%}")
-            )
+    for (count, scheme), run in zip(points, executor.run_metrics(specs)):
+        rows.append(
+            (count, scheme, f"{run.mean_delay_s:.1f}", run.throughput_messages,
+             f"{run.delivery_ratio:.2%}")
+        )
     print(format_table(("gateways", "scheme", "mean delay [s]", "delivered", "ratio"), rows))
 
 

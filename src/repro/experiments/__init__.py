@@ -17,14 +17,13 @@
   aggregation.
 * :mod:`repro.experiments.service` — the ``repro serve`` asyncio results
   service (submit a scenario or digest, get cached metrics or a job handle).
-* :mod:`repro.experiments.sweeps` — parameter sweeps over gateway density,
-  device range and schemes.
-* :mod:`repro.experiments.figures` — one entry point per paper figure
-  (Figs. 7–13).
+* :mod:`repro.experiments.figures` — the reproduction scales (smoke,
+  benchmark, campaign), the paper's sweep constants and Fig. 7.
 * :mod:`repro.experiments.registry` — named scenario presets (urban, rural,
-  ablation points, synthetic variants) and sweep presets: the figures plus
-  the declared grid sweeps (ablations and beyond-the-paper grids) that one
-  runner executes; the catalogue ``docs/scenarios.md`` is generated from it.
+  ablation points, synthetic variants) and sweep presets: Fig. 7 plus the
+  declared grid sweeps (Figs. 8–13, the ablations and the beyond-the-paper
+  grids) that one runner executes; the catalogue ``docs/scenarios.md`` is
+  generated from it.
 * :mod:`repro.experiments.serialization` — lossless, digest-stable
   ScenarioConfig ⇄ JSON/TOML round trips so scenarios are shareable files.
 * :mod:`repro.experiments.cli` — the ``repro`` console entry point
@@ -43,7 +42,6 @@ from repro.experiments.parallel import (
     replication_specs,
     spec_from_dict,
     spec_to_dict,
-    sweep_specs,
 )
 from repro.experiments.store import MetricsAccumulator, ResultStore
 from repro.experiments.registry import (
@@ -65,7 +63,6 @@ from repro.experiments.serialization import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.experiments.sweeps import SweepResult, run_gateway_sweep, run_replications
 
 __all__ = [
     "ScenarioConfig",
@@ -86,9 +83,6 @@ __all__ = [
     "run_scenario",
     "BuiltScenario",
     "build_scenario",
-    "SweepResult",
-    "run_gateway_sweep",
-    "run_replications",
     "RunOutcome",
     "RunSpec",
     "SweepExecutionError",
@@ -99,5 +93,4 @@ __all__ = [
     "replication_specs",
     "spec_from_dict",
     "spec_to_dict",
-    "sweep_specs",
 ]

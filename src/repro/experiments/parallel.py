@@ -153,7 +153,8 @@ class RunSpec:
     """One picklable unit of sweep work.
 
     ``nominal_gateways`` carries the paper's x-axis label when the deployed
-    count in ``config`` is scaled down (see ``run_gateway_sweep``); the
+    count in ``config`` is scaled down (a grid sweep's ``num_gateways``
+    axis); the
     executor writes it back onto the resulting metrics.  ``replicate``
     distinguishes replications of otherwise identical configurations.
     """
@@ -507,34 +508,6 @@ class SweepExecutor:
 # --------------------------------------------------------------------- #
 # Spec builders
 # --------------------------------------------------------------------- #
-def sweep_specs(
-    base_config: ScenarioConfig,
-    gateway_counts: Sequence[int],
-    schemes: Sequence[str],
-    device_ranges_m: Sequence[float],
-    gateway_scale: float = 1.0,
-) -> List[RunSpec]:
-    """The run specs of a (scheme × gateway count × device range) sweep.
-
-    Mirrors the nesting order the serial sweep historically used so that
-    executors preserve run-for-run comparability with older results.
-    """
-    if gateway_scale <= 0:
-        raise ValueError("gateway_scale must be positive")
-    specs: List[RunSpec] = []
-    for device_range in device_ranges_m:
-        for nominal_count in gateway_counts:
-            actual_count = max(1, round(nominal_count * gateway_scale))
-            for scheme in schemes:
-                config = (
-                    base_config.with_scheme(scheme)
-                    .with_gateways(actual_count)
-                    .with_device_range(device_range)
-                )
-                specs.append(RunSpec(config=config, nominal_gateways=nominal_count))
-    return specs
-
-
 def replication_specs(config: ScenarioConfig, num_replications: int) -> List[RunSpec]:
     """Specs for ``num_replications`` runs of one configuration.
 

@@ -14,8 +14,9 @@ Two registries live here:
 * **Sweep presets** (:class:`SweepPreset`): one entry per paper figure
   (Figs. 7–13), per ablation (α, device class, gateway placement) and per
   beyond-the-paper grid (multi-SF radio, mobility model, routing × buffer).
-  A figure wraps its :mod:`repro.experiments.figures` pipeline; a grid sweep
-  *declares* its axes (:class:`SweepGrid`) and runs through the one
+  Fig. 7 runs no simulation and wraps
+  :func:`~repro.experiments.figures.figure07_bus_network`; every other
+  sweep *declares* its axes (:class:`SweepGrid`) and runs through the one
   :func:`run_grid`.  Every sweep returns a uniform :class:`SweepArtifact`
   (printable text + tabular rows) so the CLI and reporting layer can treat
   them alike.
@@ -33,28 +34,22 @@ from itertools import product
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import ScenarioConfig
+from repro.analysis.metrics import RunMetrics
 from repro.experiments.figures import (
     BENCHMARK_SCALE,
     CAMPAIGN_SCALE,
+    RURAL_DEVICE_RANGE_M,
     SMOKE_SCALE,
+    URBAN_DEVICE_RANGE_M,
     ReproductionScale,
     figure07_bus_network,
-    figure08_delay,
-    figure09_throughput,
-    figure10_urban_timeseries,
-    figure11_rural_timeseries,
-    figure12_hops,
-    figure13_overhead,
-    run_density_sweep,
 )
 from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.experiments.reporting import (
     format_bus_network,
-    format_figure_rows,
     format_metric_comparison,
-    format_timeseries,
+    format_table,
 )
-from repro.experiments.sweeps import RURAL_DEVICE_RANGE_M, URBAN_DEVICE_RANGE_M
 from repro.mobility.config import MobilityConfig
 from repro.mobility.london import DAY_SECONDS
 from repro.radio.config import RadioConfig
@@ -132,10 +127,10 @@ def _paper_point(
 ) -> ScenarioConfig:
     """One operating point of the paper's evaluation grid.
 
-    Mirrors :meth:`ReproductionScale.base_config` + ``sweep_specs`` exactly:
-    the full-size scenario is density-preservingly shrunk and the nominal
-    (paper x-axis) gateway count is scaled the same way, so a preset run is
-    identical to the matching point of a figure sweep up to the scenario
+    Mirrors :meth:`ReproductionScale.base_config` + a grid's ``num_gateways``
+    axis exactly: the full-size scenario is density-preservingly shrunk and
+    the nominal (paper x-axis) gateway count is scaled the same way, so a
+    preset run is identical to the matching point of a figure sweep up to the scenario
     ``name`` field (which does not influence simulation).  The sync between
     the two code paths is pinned by ``tests/experiments/test_registry.py::
     TestPresets::test_paper_points_match_sweep_spec_configs``.
@@ -574,17 +569,17 @@ def resolve_scenario(target: str) -> ScenarioConfig:
 
 
 # --------------------------------------------------------------------- #
-# Sweep presets (figures and ablations)
+# Sweep presets
 # --------------------------------------------------------------------- #
 @dataclass
 class SweepArtifact:
-    """Uniform result of a figure sweep: printable text + tabular rows."""
+    """Uniform result of a sweep: printable text + tabular rows."""
 
     name: str
     text: str
     rows: List[Dict[str, Any]] = field(default_factory=list)
-    #: The native result object (SweepResult, dicts of RunMetrics, …) for
-    #: programmatic consumers and the equivalence tests.
+    #: The native result object (a grid's :class:`GridRuns`, Fig. 7's
+    #: properties) for programmatic consumers and the equivalence tests.
     raw: Any = None
 
 
@@ -599,7 +594,7 @@ class SweepPreset:
     description: str
     runner: SweepRunner
     figure: str = ""
-    #: The declaration behind a grid sweep (``None`` for the figure sweeps).
+    #: The declaration behind a grid sweep (``None`` for Fig. 7).
     grid: Optional["SweepGrid"] = None
 
 
@@ -641,47 +636,6 @@ def iter_sweeps() -> List[SweepPreset]:
     return [_SWEEPS[name] for name in sweep_names()]
 
 
-def _figure_rows(rows: Sequence[Any]) -> List[Dict[str, Any]]:
-    return [
-        {
-            "environment": row.environment,
-            "num_gateways": row.num_gateways,
-            "scheme": row.scheme,
-            "value": row.value,
-        }
-        for row in rows
-    ]
-
-
-def _density_artifact(name: str, title: str, extractor, metric_unit: str) -> SweepRunner:
-    def runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) -> SweepArtifact:
-        sweep = run_density_sweep(scale, executor=executor)
-        rows = extractor(sweep)
-        return SweepArtifact(
-            name=name,
-            text=format_figure_rows(title, rows, metric_unit),
-            rows=_figure_rows(rows),
-            raw=sweep,
-        )
-
-    return runner
-
-
-def _timeseries_artifact(name: str, title: str, figure_fn) -> SweepRunner:
-    def runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) -> SweepArtifact:
-        series = figure_fn(scale, executor=executor)
-        rows = [
-            {"time_s": start, "scheme": scheme, "delivered": value}
-            for scheme in sorted(series.series_by_scheme)
-            for start, value in zip(series.bin_starts_s, series.series_by_scheme[scheme])
-        ]
-        return SweepArtifact(
-            name=name, text=format_timeseries(title, series), rows=rows, raw=series
-        )
-
-    return runner
-
-
 def _fig7_runner(scale: ReproductionScale, executor: Optional[SweepExecutor]) -> SweepArtifact:
     del executor  # one mobility generation, nothing to parallelise
     properties = figure07_bus_network(scale)
@@ -703,61 +657,13 @@ register_sweep(SweepPreset(
     figure="Fig. 7",
     runner=_fig7_runner,
 ))
-register_sweep(SweepPreset(
-    name="fig8",
-    description="Mean end-to-end delay vs gateway count, urban and rural.",
-    figure="Fig. 8",
-    runner=_density_artifact(
-        "fig8", "Fig. 8 — mean end-to-end delay", figure08_delay, "s"
-    ),
-))
-register_sweep(SweepPreset(
-    name="fig9",
-    description="Total delivered messages vs gateway count, urban and rural.",
-    figure="Fig. 9",
-    runner=_density_artifact(
-        "fig9", "Fig. 9 — delivered messages", figure09_throughput, "messages"
-    ),
-))
-register_sweep(SweepPreset(
-    name="fig10",
-    description="Messages delivered per 10-minute bin over the day, urban.",
-    figure="Fig. 10",
-    runner=_timeseries_artifact(
-        "fig10", "Fig. 10 — throughput over the day", figure10_urban_timeseries
-    ),
-))
-register_sweep(SweepPreset(
-    name="fig11",
-    description="Messages delivered per 10-minute bin over the day, rural.",
-    figure="Fig. 11",
-    runner=_timeseries_artifact(
-        "fig11", "Fig. 11 — throughput over the day", figure11_rural_timeseries
-    ),
-))
-register_sweep(SweepPreset(
-    name="fig12",
-    description="Mean delivery hop count vs gateway count, urban and rural.",
-    figure="Fig. 12",
-    runner=_density_artifact(
-        "fig12", "Fig. 12 — mean delivery hop count", figure12_hops, "hops"
-    ),
-))
-register_sweep(SweepPreset(
-    name="fig13",
-    description="Frames transmitted per node (energy proxy) vs gateway count.",
-    figure="Fig. 13",
-    runner=_density_artifact(
-        "fig13", "Fig. 13 — frames sent per node", figure13_overhead, "frames"
-    ),
-))
 
 
 # --------------------------------------------------------------------- #
-# Grid sweeps (ablations and the beyond-the-paper grids)
+# Grid sweeps (Figs. 8–13, the ablations and the beyond-the-paper grids)
 # --------------------------------------------------------------------- #
-#: The operating point every grid sweep runs at: the paper's 70 nominal
-#: gateways, scaled like the density figures' x-axis.
+#: The operating point a grid without a ``num_gateways`` axis runs at: the
+#: paper's 70 nominal gateways, scaled like the density figures' x-axis.
 _GRID_NOMINAL_GATEWAYS = 70
 
 #: The printed metric columns of a grid sweep unless it declares others.
@@ -768,7 +674,7 @@ _ABLATION_METRICS = (
     "mean_energy_joules",
 )
 
-#: The metric columns of every grid-sweep row, after its axis columns.
+#: The metric columns of every comparison-table row, after its axis columns.
 _ROW_METRICS = (
     "mean_delay_s",
     "throughput_messages",
@@ -778,6 +684,9 @@ _ROW_METRICS = (
     "mean_energy_joules",
 )
 
+#: One grid point: its value on every axis, in declared axis order.
+GridKey = Tuple[Any, ...]
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -785,35 +694,165 @@ class SweepAxis:
 
     ``column`` names the axis in the artifact rows, ``apply`` sets one value
     on a configuration and ``label`` formats the value for the printed
-    variant key.  ``values=None`` sweeps the scale's schemes.
+    variant key.  ``values`` is a tuple, or the name of the
+    :class:`ReproductionScale` field that holds them (``"schemes"``,
+    ``"gateway_counts"``).
+
+    An axis whose column is ``num_gateways`` is the paper's x-axis: a value
+    ``n`` deploys ``max(1, round(n × spatial_scale))`` gateways and labels
+    the run with the nominal ``n`` (``RunSpec.nominal_gateways``).
     """
 
     column: str
     apply: Callable[[ScenarioConfig, Any], ScenarioConfig]
-    values: Optional[Tuple[Any, ...]] = None
+    values: Union[Tuple[Any, ...], str] = "schemes"
     label: str = "{}"
 
     def values_at(self, scale: ReproductionScale) -> Tuple[Any, ...]:
-        return scale.schemes if self.values is None else self.values
+        if isinstance(self.values, str):
+            return getattr(scale, self.values)
+        return self.values
 
 
-def _unchanged(config: ScenarioConfig) -> ScenarioConfig:
+@dataclass
+class GridRuns:
+    """The metrics of every point of a grid sweep."""
+
+    runs: Dict[GridKey, RunMetrics]
+
+
+def _environment(device_range_m: float) -> str:
+    return "urban" if device_range_m <= 750.0 else "rural"
+
+
+def render_comparison(
+    grid: "SweepGrid", runs: Mapping[GridKey, RunMetrics]
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """One line per grid point with the grid's printed metrics (the default)."""
+    labelled = {
+        "/".join(axis.label.format(value) for axis, value in zip(grid.axes, key)): metrics
+        for key, metrics in runs.items()
+    }
+    columns = _ROW_METRICS + tuple(m for m in grid.printed if m not in _ROW_METRICS)
+    rows = [
+        {
+            **dict(zip(grid.columns, key)),
+            **{column: getattr(runs[key], column) for column in columns},
+        }
+        for key in sorted(runs)
+    ]
+    return format_metric_comparison(grid.title, labelled, grid.printed), rows
+
+
+def render_figure_table(
+    grid: "SweepGrid", runs: Mapping[GridKey, RunMetrics], unit: str
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """Figs. 8, 9, 12, 13: ``grid.printed[0]`` per environment, gateway count
+    and scheme, for a grid over ``(scheme, num_gateways, device_range_m)``."""
+    metric = grid.printed[0]
+    rows = [
+        {
+            "environment": _environment(device_range),
+            "num_gateways": count,
+            "scheme": scheme,
+            "value": float(getattr(metrics, metric)),
+        }
+        for (scheme, count, device_range), metrics in sorted(
+            runs.items(), key=lambda item: item[0][::-1]
+        )
+    ]
+    table = format_table(
+        ("environment", "gateways", "scheme", f"value [{unit}]"),
+        [
+            (row["environment"], row["num_gateways"], row["scheme"], f"{row['value']:.2f}")
+            for row in rows
+        ],
+    )
+    return f"{grid.title}\n{table}", rows
+
+
+def render_day_profile(
+    grid: "SweepGrid", runs: Mapping[GridKey, RunMetrics], bin_width_s: float = 600.0
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """Figs. 10, 11: messages delivered per bin over each run, one column per
+    scheme, for a grid over ``(scheme, num_gateways, device_range_m)`` with
+    one gateway count and one range."""
+    series: Dict[str, List[float]] = {}
+    for (scheme, _, device_range), metrics in runs.items():
+        starts, counts = metrics.throughput_timeseries(bin_width_s)
+        series[scheme] = [float(count) for count in counts]
+    bin_starts = [float(start) for start in starts]
+    schemes = sorted(series)
+    rows = [
+        {"time_s": start, "scheme": scheme, "delivered": value}
+        for scheme in schemes
+        for start, value in zip(bin_starts, series[scheme])
+    ]
+    # Twelve-odd printed bins keep a day readable; the rows keep them all.
+    step = max(len(bin_starts) // 12, 1)
+    table = format_table(
+        ("time",) + tuple(schemes),
+        [
+            (f"{bin_starts[index] / 3600.0:.1f}h",)
+            + tuple(f"{series[scheme][index]:.0f}" for scheme in schemes)
+            for index in range(0, len(bin_starts), step)
+        ],
+    )
+    totals = ", ".join(f"{scheme}={sum(series[scheme]):.0f}" for scheme in schemes)
+    text = f"{grid.title} ({_environment(device_range)})\ntotals: {totals}\n{table}"
+    return text, rows
+
+
+def _unchanged(config: ScenarioConfig, scale: ReproductionScale) -> ScenarioConfig:
     return config
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A declared sweep: the product of its axes at the 70-gateway point."""
+    """A declared sweep: the product of its axes.
+
+    Without a ``num_gateways`` axis, every point runs at the 70-gateway
+    operating point.
+    """
 
     title: str
     axes: Tuple[SweepAxis, ...]
     #: The sweep's fixed setting, applied to the base config before the axes.
-    fixed: Callable[[ScenarioConfig], ScenarioConfig] = _unchanged
+    fixed: Callable[[ScenarioConfig, ReproductionScale], ScenarioConfig] = _unchanged
     printed: Tuple[str, ...] = _ABLATION_METRICS
+    #: Turns the runs into the artifact's text and rows: one of
+    #: :func:`render_comparison`, :func:`render_figure_table` (with its
+    #: unit bound) or :func:`render_day_profile`.
+    render: Callable[
+        ["SweepGrid", Mapping[GridKey, RunMetrics]], Tuple[str, List[Dict[str, Any]]]
+    ] = render_comparison
 
     @property
     def columns(self) -> Tuple[str, ...]:
         return tuple(axis.column for axis in self.axes)
+
+
+def _deployed_gateways(nominal: int, scale: ReproductionScale) -> int:
+    return max(1, round(nominal * scale.spatial_scale))
+
+
+def grid_points(grid: SweepGrid, scale: ReproductionScale) -> List[Tuple[GridKey, RunSpec]]:
+    """Every point of ``grid`` at ``scale`` with its run spec, in axis-product order."""
+    base = grid.fixed(
+        scale.base_config().with_gateways(
+            _deployed_gateways(_GRID_NOMINAL_GATEWAYS, scale)
+        ),
+        scale,
+    )
+    points = []
+    for key in product(*(axis.values_at(scale) for axis in grid.axes)):
+        config, nominal = base, None
+        for axis, value in zip(grid.axes, key):
+            if axis.column == "num_gateways":
+                nominal, value = value, _deployed_gateways(value, scale)
+            config = axis.apply(config, value)
+        points.append((key, RunSpec(config=config, nominal_gateways=nominal)))
+    return points
 
 
 def run_grid(
@@ -822,36 +861,18 @@ def run_grid(
     scale: ReproductionScale,
     executor: Optional[SweepExecutor],
 ) -> SweepArtifact:
-    """Run every point of ``grid`` at ``scale``; ``raw`` maps value tuples to metrics."""
-    gateways = max(1, round(_GRID_NOMINAL_GATEWAYS * scale.spatial_scale))
-    base = grid.fixed(scale.base_config().with_gateways(gateways))
-    keys = list(product(*(axis.values_at(scale) for axis in grid.axes)))
-    specs = []
-    for key in keys:
-        config = base
-        for axis, value in zip(grid.axes, key):
-            config = axis.apply(config, value)
-        specs.append(RunSpec(config=config))
+    """Run every point of ``grid`` at ``scale``; ``raw.runs`` maps keys to metrics.
+
+    Outcomes stream in as runs complete and are matched back to their
+    points by spec, so a point's metrics never depend on completion order.
+    """
+    points = grid_points(grid, scale)
+    specs = list(dict.fromkeys(spec for _, spec in points))
     executor = executor or SweepExecutor()
-    raw = dict(zip(keys, executor.run_metrics(specs)))
-    labelled = {
-        "/".join(axis.label.format(value) for axis, value in zip(grid.axes, key)): metrics
-        for key, metrics in raw.items()
-    }
-    columns = _ROW_METRICS + tuple(m for m in grid.printed if m not in _ROW_METRICS)
-    rows = [
-        {
-            **dict(zip(grid.columns, key)),
-            **{column: getattr(raw[key], column) for column in columns},
-        }
-        for key in sorted(raw)
-    ]
-    return SweepArtifact(
-        name=name,
-        text=format_metric_comparison(grid.title, labelled, grid.printed),
-        rows=rows,
-        raw=raw,
-    )
+    finished = {outcome.spec: outcome.metrics for outcome in executor.iter_outcomes(specs)}
+    runs = {key: finished[spec] for key, spec in points}
+    text, rows = grid.render(grid, runs)
+    return SweepArtifact(name=name, text=text, rows=rows, raw=GridRuns(runs))
 
 
 def _register_grid(name: str, description: str, grid: SweepGrid, figure: str = "") -> None:
@@ -865,13 +886,79 @@ def _register_grid(name: str, description: str, grid: SweepGrid, figure: str = "
 
 
 _SCHEMES = SweepAxis("scheme", ScenarioConfig.with_scheme)
+_GATEWAYS = SweepAxis("num_gateways", ScenarioConfig.with_gateways, values="gateway_counts")
+
+
+def _device_ranges(*ranges_m: float) -> SweepAxis:
+    return SweepAxis("device_range_m", ScenarioConfig.with_device_range, values=ranges_m)
+
+
+def _register_density_figure(
+    number: int, description: str, title: str, metric: str, unit: str
+) -> None:
+    """Figs. 8, 9, 12 and 13: one printed metric of the same density sweep."""
+    _register_grid(
+        f"fig{number}",
+        description,
+        SweepGrid(
+            title=f"Fig. {number} — {title}",
+            axes=(
+                _SCHEMES,
+                _GATEWAYS,
+                _device_ranges(URBAN_DEVICE_RANGE_M, RURAL_DEVICE_RANGE_M),
+            ),
+            printed=(metric,),
+            render=partial(render_figure_table, unit=unit),
+        ),
+        figure=f"Fig. {number}",
+    )
+
+
+def _register_day_profile(number: int, device_range_m: float) -> None:
+    """Figs. 10 and 11: every scheme at 100 nominal gateways over the
+    scale's day-profile horizon, in one environment."""
+    _register_grid(
+        f"fig{number}",
+        "Messages delivered per 10-minute bin over the day, "
+        f"{_environment(device_range_m)}.",
+        SweepGrid(
+            title=f"Fig. {number} — throughput over the day",
+            axes=(_SCHEMES, replace(_GATEWAYS, values=(100,)), _device_ranges(device_range_m)),
+            fixed=lambda config, scale: replace(
+                config, duration_s=scale.timeseries_duration_s
+            ),
+            render=render_day_profile,
+        ),
+        figure=f"Fig. {number}",
+    )
+
+
+_register_density_figure(
+    8, "Mean end-to-end delay vs gateway count, urban and rural.",
+    "mean end-to-end delay", "mean_delay_s", "s",
+)
+_register_density_figure(
+    9, "Total delivered messages vs gateway count, urban and rural.",
+    "delivered messages", "throughput_messages", "messages",
+)
+_register_day_profile(10, URBAN_DEVICE_RANGE_M)
+_register_day_profile(11, RURAL_DEVICE_RANGE_M)
+_register_density_figure(
+    12, "Mean delivery hop count vs gateway count, urban and rural.",
+    "mean delivery hop count", "mean_hop_count", "hops",
+)
+_register_density_figure(
+    13, "Frames transmitted per node (energy proxy) vs gateway count.",
+    "frames sent per node", "mean_messages_sent_per_node", "frames",
+)
+
 
 _register_grid(
     "alpha",
     "EWMA weight α of the RCA-ETX estimator (Eq. 4), five values.",
     SweepGrid(
         title="α ablation — EWMA weight of Eq. (4), RCA-ETX",
-        fixed=lambda config: config.with_scheme("rca-etx"),
+        fixed=lambda config, scale: config.with_scheme("rca-etx"),
         axes=(SweepAxis(
             "alpha",
             lambda config, alpha: replace(
@@ -887,7 +974,7 @@ _register_grid(
     "Modified Class-C vs Queue-based Class-A listening policies.",
     SweepGrid(
         title="Device-class ablation — Modified Class-C vs Queue-based Class-A",
-        fixed=lambda config: config.with_scheme("robc"),
+        fixed=lambda config, scale: config.with_scheme("robc"),
         axes=(SweepAxis(
             "device_class",
             lambda config, device_class: replace(config, device_class=device_class),
@@ -979,7 +1066,7 @@ _register_grid(
     ),
     SweepGrid(
         title="Multi-SF radio sweep — uplink channels × scheme, distance-based SFs",
-        fixed=lambda config: config.with_radio(sf_policy="distance-based"),
+        fixed=lambda config, scale: config.with_radio(sf_policy="distance-based"),
         axes=(
             SweepAxis(
                 "num_channels",

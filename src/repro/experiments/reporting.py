@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro.analysis.metrics import RunMetrics
-from repro.experiments.figures import BusNetworkProperties, FigureRow, ThroughputTimeSeries
+from repro.experiments.figures import BusNetworkProperties
 
 #: The scalar summaries reported for every run (CLI, CSV and JSON artifacts).
 RUN_SUMMARY_FIELDS = (
@@ -55,19 +55,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_figure_rows(title: str, rows: Sequence[FigureRow], unit: str = "") -> str:
-    """Format the rows of a density-sweep figure (Figs. 8, 9, 12, 13)."""
-    header_unit = f" [{unit}]" if unit else ""
-    table_rows = [
-        (row.environment, row.num_gateways, row.scheme, f"{row.value:.2f}")
-        for row in rows
-    ]
-    table = format_table(
-        ("environment", "gateways", "scheme", f"value{header_unit}"), table_rows
-    )
-    return f"{title}\n{table}"
-
-
 def format_bus_network(title: str, properties: BusNetworkProperties) -> str:
     """Format the Fig. 7 summary (active-bus profile and duration statistics)."""
     durations = properties.active_durations_s
@@ -80,23 +67,6 @@ def format_bus_network(title: str, properties: BusNetworkProperties) -> str:
         ("max trip duration [min]", f"{max(durations) / 60.0:.1f}" if durations else "nan"),
     ]
     return f"{title}\n" + format_table(("quantity", "value"), rows)
-
-
-def format_timeseries(title: str, series: ThroughputTimeSeries, max_bins: int = 12) -> str:
-    """Format a throughput-over-time figure (Figs. 10–11), downsampled for readability."""
-    n_bins = len(series.bin_starts_s)
-    step = max(n_bins // max_bins, 1)
-    rows = []
-    for index in range(0, n_bins, step):
-        row = [f"{series.bin_starts_s[index] / 3600.0:.1f}h"]
-        for scheme in sorted(series.series_by_scheme):
-            row.append(f"{series.series_by_scheme[scheme][index]:.0f}")
-        rows.append(tuple(row))
-    headers = ("time",) + tuple(sorted(series.series_by_scheme))
-    totals = ", ".join(
-        f"{scheme}={series.total(scheme):.0f}" for scheme in sorted(series.series_by_scheme)
-    )
-    return f"{title} ({series.environment})\ntotals: {totals}\n" + format_table(headers, rows)
 
 
 def metrics_summary(metrics: RunMetrics) -> Dict[str, Any]:

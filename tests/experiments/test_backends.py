@@ -38,7 +38,6 @@ from repro.experiments.parallel import (
     SweepExecutionError,
     SweepExecutor,
     execute_spec,
-    sweep_specs,
 )
 from repro.mobility.config import MobilityConfig
 
@@ -59,9 +58,21 @@ def tiny_config():
     )
 
 
+def gateway_specs(config, gateway_counts, schemes):
+    """One spec per (gateway count, scheme), labelled with its count."""
+    return [
+        RunSpec(
+            config=config.with_scheme(scheme).with_gateways(count),
+            nominal_gateways=count,
+        )
+        for count in gateway_counts
+        for scheme in schemes
+    ]
+
+
 @pytest.fixture(scope="module")
 def matrix_specs(tiny_config):
-    return sweep_specs(tiny_config, (2, 3), ("no-routing", "robc"), (1000.0,))
+    return gateway_specs(tiny_config, (2, 3), ("no-routing", "robc"))
 
 
 def crashing_spec(tiny_config, name="a"):
@@ -160,7 +171,7 @@ class TestCrashSafety:
         crash surfaces as a per-spec failure outcome, and resuming serves
         the siblings from cache.
         """
-        good = sweep_specs(tiny_config, (2, 3), ("no-routing",), (1000.0,))
+        good = gateway_specs(tiny_config, (2, 3), ("no-routing",))
         specs = [good[0], crashing_spec(tiny_config), good[1]]
         executor = SweepExecutor(workers=1, cache_dir=tmp_path)
         with pytest.raises(SweepExecutionError, match="1 of 3"):
@@ -294,7 +305,7 @@ class TestRetryPolicy:
 
 class TestProcessPoolFailureIsolation:
     def test_one_crash_does_not_abort_the_batch(self, tiny_config, tmp_path):
-        good = sweep_specs(tiny_config, (2,), ("no-routing",), (1000.0,))
+        good = gateway_specs(tiny_config, (2,), ("no-routing",))
         specs = [crashing_spec(tiny_config), good[0]]
         executor = SweepExecutor(
             workers=2, backend="process-pool", cache_dir=tmp_path

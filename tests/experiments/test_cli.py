@@ -7,6 +7,7 @@ add printing and artifact writing, never different results.
 """
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import pytest
 
 from repro.engine import ENGINE_ENV_VAR
 from repro.experiments.cli import build_executor, main, run_sweep, run_target
-from repro.experiments.figures import SMOKE_SCALE, run_density_sweep
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.figures import SMOKE_SCALE
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
 from repro.experiments.registry import get_preset
 from repro.experiments.runner import run_scenario
@@ -50,16 +52,34 @@ class TestEquivalence:
         assert run_target(str(path)).metrics == run_scenario(config)
 
     def test_sweep_matches_python_api_bit_identically(self):
-        """`repro sweep fig9 --scale smoke` == run_density_sweep(SMOKE_SCALE).
+        """`repro sweep fig9 --scale smoke` == run_scenario on hand-built configs.
 
         The smoke scale covers both environments (urban 500 m and rural
-        1000 m), all three schemes and two gateway counts.
+        1000 m), all three schemes and two gateway counts.  Each expected
+        run is built here, not by the sweep code: the full scenario shrunk
+        by the spatial scale with ``round(n × scale)`` gateways, reported
+        at the nominal count ``n``.
         """
-        artifact = run_sweep("fig9", scale="smoke")
-        api_sweep = run_density_sweep(SMOKE_SCALE)
-        assert set(artifact.raw.runs) == set(api_sweep.runs)
-        for key, metrics in api_sweep.runs.items():
-            assert artifact.raw.runs[key] == metrics, key
+        runs = run_sweep("fig9", scale="smoke").raw.runs
+        keys = {
+            (scheme, nominal, device_range)
+            for scheme in SMOKE_SCALE.schemes
+            for nominal in SMOKE_SCALE.gateway_counts
+            for device_range in (500.0, 1000.0)
+        }
+        assert set(runs) == keys
+        shrunk = ScenarioConfig(
+            seed=SMOKE_SCALE.seed, duration_s=SMOKE_SCALE.duration_s
+        ).scaled(SMOKE_SCALE.spatial_scale)
+        for scheme, nominal, device_range in sorted(keys):
+            expected = run_scenario(dataclasses.replace(
+                shrunk,
+                scheme=scheme,
+                num_gateways=max(1, round(nominal * SMOKE_SCALE.spatial_scale)),
+                device_range_m=device_range,
+            ))
+            expected.num_gateways = nominal
+            assert runs[scheme, nominal, device_range] == expected, (scheme, nominal)
 
     def test_engine_override_matches_api_bit_identically(self):
         """`repro run urban-smoke --engine array` == the API on either engine."""

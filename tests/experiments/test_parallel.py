@@ -26,11 +26,23 @@ from repro.experiments.parallel import (
     replication_specs,
     spec_from_dict,
     spec_to_dict,
-    sweep_specs,
 )
-from repro.experiments.sweeps import run_gateway_sweep, run_replications
+from repro.experiments.figures import ReproductionScale
+from repro.experiments.registry import SweepAxis, SweepGrid, run_grid
 from repro.mobility.config import MobilityConfig
 from repro.routing import scheme_names
+
+
+def gateway_specs(config, gateway_counts, schemes):
+    """One spec per (gateway count, scheme), labelled with its count."""
+    return [
+        RunSpec(
+            config=config.with_scheme(scheme).with_gateways(count),
+            nominal_gateways=count,
+        )
+        for count in gateway_counts
+        for scheme in schemes
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -52,39 +64,31 @@ def tiny_config():
 
 class TestSerialParallelEquivalence:
     def test_sweep_identical_across_worker_counts(self, tiny_config):
-        kwargs = dict(
-            gateway_counts=(2, 3),
-            schemes=("no-routing", "robc"),
-            device_ranges_m=(1000.0,),
-        )
-        serial = run_gateway_sweep(
-            tiny_config, executor=SweepExecutor(workers=1), **kwargs
-        )
-        parallel = run_gateway_sweep(
-            tiny_config, executor=SweepExecutor(workers=4), **kwargs
-        )
-        assert set(serial.runs) == set(parallel.runs)
-        for key, metrics in serial.runs.items():
-            # RunMetrics is a dataclass: == compares every field, including the
-            # full per-delivery delay/hop lists and per-device counters.
-            assert metrics == parallel.runs[key], f"run {key} diverged"
+        specs = gateway_specs(tiny_config, (2, 3), ("no-routing", "robc"))
+        serial = SweepExecutor(workers=1).run_metrics(specs)
+        parallel = SweepExecutor(workers=4).run_metrics(specs)
+        # RunMetrics is a dataclass: == compares every field, including the
+        # full per-delivery delay/hop lists and per-device counters.
+        assert serial == parallel
+        assert len(serial) == len(specs)
 
-    def test_default_executor_matches_explicit_serial(self, tiny_config):
-        kwargs = dict(
-            gateway_counts=(2,), schemes=("no-routing",), device_ranges_m=(1000.0,)
+    def test_default_executor_matches_explicit_serial(self):
+        grid = SweepGrid(
+            title="one run",
+            axes=(SweepAxis("scheme", ScenarioConfig.with_scheme, values=("robc",)),),
         )
-        implicit = run_gateway_sweep(tiny_config, **kwargs)
-        explicit = run_gateway_sweep(
-            tiny_config, executor=SweepExecutor(workers=1), **kwargs
-        )
-        assert implicit.runs == explicit.runs
+        scale = ReproductionScale(spatial_scale=0.02, duration_s=600.0)
+        implicit = run_grid("one", grid, scale, None)
+        explicit = run_grid("one", grid, scale, SweepExecutor(workers=1))
+        assert implicit.raw.runs == explicit.raw.runs
+        assert implicit.text == explicit.text
 
     def test_replications_identical_across_worker_counts(self, tiny_config):
-        seeds = (5, 6)
-        serial = run_replications(tiny_config, seeds, SweepExecutor(workers=1))
-        parallel = run_replications(tiny_config, seeds, SweepExecutor(workers=2))
+        specs = replication_specs(tiny_config, 2)
+        serial = SweepExecutor(workers=1).run_metrics(specs)
+        parallel = SweepExecutor(workers=2).run_metrics(specs)
         assert serial == parallel
-        assert len(serial) == len(seeds)
+        assert len(serial) == 2
 
 
 class TestSweepExecutor:
@@ -93,9 +97,7 @@ class TestSweepExecutor:
             SweepExecutor(workers=0)
 
     def test_outcomes_preserve_spec_order(self, tiny_config):
-        specs = sweep_specs(
-            tiny_config, (3, 2), ("no-routing",), (1000.0,), gateway_scale=1.0
-        )
+        specs = gateway_specs(tiny_config, (3, 2), ("no-routing",))
         outcomes = SweepExecutor(workers=1).run(specs)
         assert [outcome.spec for outcome in outcomes] == specs
         assert [outcome.metrics.num_gateways for outcome in outcomes] == [3, 2]
@@ -103,7 +105,7 @@ class TestSweepExecutor:
         assert not any(outcome.from_cache for outcome in outcomes)
 
     def test_cache_roundtrip(self, tiny_config, tmp_path):
-        specs = sweep_specs(tiny_config, (2,), ("no-routing",), (1000.0,))
+        specs = gateway_specs(tiny_config, (2,), ("no-routing",))
         first = SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)
         assert not first[0].from_cache
         assert list(tmp_path.rglob("*.pkl"))
@@ -133,7 +135,7 @@ class TestSweepExecutor:
         assert executor.run([spec])[0].from_cache
 
     def test_iter_outcomes_streams_and_caches(self, tiny_config, tmp_path):
-        specs = sweep_specs(tiny_config, (2, 3), ("no-routing",), (1000.0,))
+        specs = gateway_specs(tiny_config, (2, 3), ("no-routing",))
         executor = SweepExecutor(workers=1, cache_dir=tmp_path)
         streamed = list(executor.iter_outcomes(specs))
         assert sorted(o.spec.cache_key() for o in streamed) == sorted(
@@ -176,7 +178,7 @@ class TestSweepExecutor:
                     yield index, failure_outcome(spec, RuntimeError("boom"), 0.0)
 
         executor = SweepExecutor(backend=DroppingBackend())
-        specs = sweep_specs(tiny_config, (2, 3), ("no-routing",), (1000.0,))
+        specs = gateway_specs(tiny_config, (2, 3), ("no-routing",))
         with pytest.raises(RuntimeError, match="bookkeeping"):
             executor.run(specs, allow_failures=True)
 
@@ -206,17 +208,6 @@ class TestSpecs:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.key == ("no-routing", 40, 1000.0, 0)
-
-    def test_sweep_specs_apply_gateway_scale(self, tiny_config):
-        specs = sweep_specs(tiny_config, (40,), ("robc",), (500.0,), gateway_scale=0.1)
-        assert specs[0].config.num_gateways == 4
-        assert specs[0].nominal_gateways == 40
-        assert specs[0].config.scheme == "robc"
-        assert specs[0].config.device_range_m == 500.0
-
-    def test_sweep_specs_reject_bad_scale(self, tiny_config):
-        with pytest.raises(ValueError):
-            sweep_specs(tiny_config, (40,), ("robc",), (500.0,), gateway_scale=0.0)
 
     def test_execute_spec_writes_nominal_count_back(self, tiny_config):
         outcome = execute_spec(RunSpec(config=tiny_config, nominal_gateways=40))

@@ -91,26 +91,25 @@ class TestPresets:
         assert aligned == urban
 
     def test_paper_points_match_sweep_spec_configs(self):
-        """The urban/rural presets equal the 70-gateway sweep point.
+        """The urban/rural presets equal the fig9 grid's 70-gateway point.
 
-        `_paper_point` re-derives the scaling that `ReproductionScale.
-        base_config` + `sweep_specs` apply; this pins the two code paths to
+        `_paper_point` re-derives the scaling that the grid runner applies
+        to `ReproductionScale.base_config`; this pins the two code paths to
         each other (everything but the cosmetic scenario name must match).
         """
         import dataclasses
 
         from repro.experiments.figures import ReproductionScale
-        from repro.experiments.parallel import sweep_specs
+        from repro.experiments.registry import grid_points
 
-        scale = ReproductionScale(spatial_scale=0.10, duration_s=4 * 3600.0)
-        specs = sweep_specs(
-            scale.base_config(),
-            gateway_counts=(70,),
-            schemes=("robc",),
-            device_ranges_m=(500.0, 1000.0),
-            gateway_scale=scale.spatial_scale,
+        scale = ReproductionScale(
+            spatial_scale=0.10, duration_s=4 * 3600.0, gateway_counts=(70,)
         )
-        by_range = {spec.config.device_range_m: spec.config for spec in specs}
+        by_range = {
+            device_range: spec.config
+            for (scheme, _, device_range), spec in grid_points(get_sweep("fig9").grid, scale)
+            if scheme == "robc"
+        }
         for preset_name, device_range in (("urban", 500.0), ("rural", 1000.0)):
             preset_config = get_preset(preset_name).config
             sweep_config = by_range[device_range]

@@ -13,11 +13,16 @@ sweep at the smoke and benchmark scales the test pins:
 * every row value.
 
 ``sweep_goldens.json`` was recorded before the sweeps became declarative
-grids (the figure sweeps' entries before Figs. 8–13 did).  The density
-figures (8, 9, 12, 13) compare their cache keys as sorted lists: their
-submission order is not part of the contract.  The one intended difference since then: ``placement`` rows split
-their single ``placement_scheme`` column (``"grid/robc"``) into one column
-per axis, which :func:`_expected_rows` derives from the recorded rows.
+grids (the six grid sweeps first, Figs. 8–13 later).  Two intended
+differences since then:
+
+* ``placement`` rows split their single ``placement_scheme`` column
+  (``"grid/robc"``) into one column per axis, which :func:`_expected_rows`
+  derives from the recorded rows;
+* the density figures (8, 9, 12, 13) compare their cache keys as sorted
+  lists.  Their grids declare the axes ``(scheme, num_gateways,
+  device_range_m)``, so their runs are now submitted scheme-major instead
+  of range-major; the set of runs is unchanged.
 
 Record a newly added sweep with
 ``PYTHONPATH=src python tests/experiments/test_sweep_goldens.py``; it never
@@ -167,7 +172,73 @@ def test_rows_start_with_one_column_per_axis(fake_simulation, name):
 
 def test_grid_sweeps_declare_these_axes():
     grids = {sweep.name: sweep.grid for sweep in iter_sweeps() if sweep.grid is not None}
-    assert {name: grid.columns for name, grid in grids.items()} == GRID_AXES
+    density = ("scheme", "num_gateways", "device_range_m")
+    assert {name: grid.columns for name, grid in grids.items()} == {
+        **GRID_AXES,
+        **{name: density for name in FIGURE_KEYS_SORTED},
+    }
+
+
+@pytest.mark.parametrize(
+    "name,metric",
+    [
+        ("fig8", "mean_delay_s"),
+        ("fig9", "throughput_messages"),
+        ("fig12", "mean_hop_count"),
+        ("fig13", "mean_messages_sent_per_node"),
+    ],
+)
+def test_density_figures_cover_every_point_with_their_metric(
+    fake_simulation, name, metric
+):
+    artifact = get_sweep(name).runner(SMOKE_SCALE, SweepExecutor())
+    runs = artifact.raw.runs
+    ranges = {"urban": 500.0, "rural": 1000.0}
+    assert len(artifact.rows) == len(runs) == (
+        len(SMOKE_SCALE.schemes) * len(SMOKE_SCALE.gateway_counts) * len(ranges)
+    )
+    assert {row["environment"] for row in artifact.rows} == set(ranges)
+    for row in artifact.rows:
+        metrics = runs[row["scheme"], row["num_gateways"], ranges[row["environment"]]]
+        assert metrics.num_gateways == row["num_gateways"]
+        assert row["value"] == float(getattr(metrics, metric))
+
+
+@pytest.mark.parametrize("name,environment", [("fig10", "urban"), ("fig11", "rural")])
+def test_day_profiles_bin_every_delivery(fake_simulation, name, environment):
+    artifact = get_sweep(name).runner(SMOKE_SCALE, SweepExecutor())
+    assert artifact.text.splitlines()[0].endswith(f"({environment})")
+    runs = artifact.raw.runs
+    assert {scheme for scheme, _, _ in runs} == set(SMOKE_SCALE.schemes)
+    for (scheme, nominal, _), metrics in runs.items():
+        assert nominal == 100
+        assert metrics.duration_s == SMOKE_SCALE.timeseries_duration_s
+        delivered = [row["delivered"] for row in artifact.rows if row["scheme"] == scheme]
+        assert sum(delivered) == len(metrics.delivery_times_s) > 0
+
+
+class ShuffledExecutor(SweepExecutor):
+    """Streams every outcome in reverse completion order, counting them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.streamed = 0
+
+    def iter_outcomes(self, specs, **kwargs):
+        outcomes = list(super().iter_outcomes(specs, **kwargs))
+        self.streamed += len(outcomes)
+        return reversed(outcomes)
+
+
+def test_run_grid_streams_and_matches_outcomes_by_spec(fake_simulation):
+    """``run_grid`` consumes ``iter_outcomes`` and keys each outcome by its
+    spec, so completion order (a process pool's) cannot misplace a run."""
+    in_order = get_sweep("fig9").runner(SMOKE_SCALE, SweepExecutor())
+    executor = ShuffledExecutor()
+    shuffled = get_sweep("fig9").runner(SMOKE_SCALE, executor)
+    assert executor.streamed == len(in_order.raw.runs) == 12
+    assert shuffled.raw.runs == in_order.raw.runs
+    assert (shuffled.text, shuffled.rows) == (in_order.text, in_order.rows)
 
 
 def record() -> None:

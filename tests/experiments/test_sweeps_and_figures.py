@@ -1,4 +1,7 @@
-"""Tests for sweeps, figure definitions and reporting."""
+"""Tests for reproduction scales, grid points, Fig. 7 and reporting.
+
+What each figure sweep prints is pinned by ``test_sweep_goldens.py``.
+"""
 
 import pytest
 
@@ -6,21 +9,14 @@ from repro.analysis.metrics import RunMetrics
 from repro.experiments.figures import (
     BusNetworkProperties,
     ReproductionScale,
-    ThroughputTimeSeries,
     figure07_bus_network,
-    figure08_delay,
-    figure09_throughput,
-    figure12_hops,
-    figure13_overhead,
 )
+from repro.experiments.registry import get_sweep, grid_points
 from repro.experiments.reporting import (
     format_bus_network,
-    format_figure_rows,
     format_metric_comparison,
     format_table,
-    format_timeseries,
 )
-from repro.experiments.sweeps import SweepResult
 
 
 def _run(scheme, gateways, device_range, value):
@@ -37,47 +33,6 @@ def _run(scheme, gateways, device_range, value):
         transmissions_per_device={"a": int(value)},
         energy_joules_per_device={"a": value},
     )
-
-
-@pytest.fixture
-def sweep():
-    result = SweepResult()
-    for scheme, base in (("no-routing", 50), ("rca-etx", 60), ("robc", 70)):
-        for gateways in (40, 100):
-            for device_range in (500.0, 1000.0):
-                result.add(_run(scheme, gateways, device_range, base + gateways / 10.0))
-    return result
-
-
-class TestSweepResult:
-    def test_indexing_and_accessors(self, sweep):
-        assert sweep.schemes() == ["no-routing", "rca-etx", "robc"]
-        assert sweep.gateway_counts() == [40, 100]
-        assert sweep.device_ranges() == [500.0, 1000.0]
-        assert sweep.get("robc", 40, 500.0).messages_delivered == 74
-
-    def test_series_extraction(self, sweep):
-        series = sweep.series("rca-etx", 500.0, "throughput_messages")
-        assert series == [(40, 64.0), (100, 70.0)]
-
-    def test_missing_run_raises(self, sweep):
-        with pytest.raises(KeyError):
-            sweep.get("robc", 99, 500.0)
-
-
-class TestFigureRows:
-    def test_figure_rows_cover_all_combinations(self, sweep):
-        rows = figure08_delay(sweep)
-        assert len(rows) == 3 * 2 * 2
-        assert {row.environment for row in rows} == {"urban", "rural"}
-
-    def test_each_figure_reads_its_metric(self, sweep):
-        throughput = figure09_throughput(sweep)
-        hops = figure12_hops(sweep)
-        overhead = figure13_overhead(sweep)
-        assert all(row.value > 0 for row in throughput)
-        assert all(row.value == 1.0 for row in hops)
-        assert all(row.value > 0 for row in overhead)
 
 
 class TestFigure07:
@@ -104,6 +59,33 @@ class TestReproductionScale:
             ReproductionScale(duration_s=0.0)
 
 
+class TestGridPoints:
+    def test_gateway_axis_deploys_scaled_count_and_labels_nominal(self):
+        scale = ReproductionScale(spatial_scale=0.1, gateway_counts=(40,))
+        points = grid_points(get_sweep("fig9").grid, scale)
+        assert len(points) == len(scale.schemes) * 2
+        for (scheme, nominal, device_range), spec in points:
+            assert nominal == spec.nominal_gateways == 40
+            assert spec.config.num_gateways == 4
+            assert spec.config.scheme == scheme
+            assert spec.config.device_range_m == device_range
+
+    def test_grid_without_gateway_axis_runs_the_70_gateway_point(self):
+        scale = ReproductionScale(spatial_scale=0.1)
+        for _, spec in grid_points(get_sweep("alpha").grid, scale):
+            assert spec.nominal_gateways is None
+            assert spec.config.num_gateways == 7
+            assert spec.config.scheme == "rca-etx"
+
+    def test_day_profile_runs_over_the_timeseries_horizon(self):
+        scale = ReproductionScale(duration_s=600.0, timeseries_duration_s=7200.0)
+        points = grid_points(get_sweep("fig11").grid, scale)
+        assert [key for key, _ in points] == [
+            (scheme, 100, 1000.0) for scheme in scale.schemes
+        ]
+        assert {spec.config.duration_s for _, spec in points} == {7200.0}
+
+
 class TestReporting:
     def test_format_table_alignment(self):
         text = format_table(("a", "b"), [("x", 1), ("longer", 22)])
@@ -111,25 +93,12 @@ class TestReporting:
         assert len(lines) == 4
         assert "longer" in lines[3]
 
-    def test_format_figure_rows_contains_values(self, sweep):
-        text = format_figure_rows("Fig 9", figure09_throughput(sweep), unit="messages")
-        assert "Fig 9" in text and "robc" in text and "urban" in text
-
     def test_format_bus_network(self):
         properties = BusNetworkProperties(
             bin_starts_s=[0.0, 1800.0], active_buses=[2, 5], active_durations_s=[100.0, 200.0]
         )
         text = format_bus_network("Fig 7", properties)
         assert "peak active buses" in text and "5" in text
-
-    def test_format_timeseries(self):
-        series = ThroughputTimeSeries(
-            environment="urban",
-            bin_starts_s=[0.0, 600.0],
-            series_by_scheme={"robc": [1.0, 2.0], "no-routing": [1.0, 1.0]},
-        )
-        text = format_timeseries("Fig 10", series)
-        assert "urban" in text and "robc" in text
 
     def test_format_metric_comparison(self):
         runs = {"grid": _run("robc", 40, 500.0, 60.0)}
