@@ -442,11 +442,6 @@ class SweepExecutor:
         if failures:
             raise SweepExecutionError(failures, total=len(specs))
 
-    def iter_run_metrics(self, specs: Sequence[RunSpec]) -> Iterator[RunMetrics]:
-        """Stream metrics in completion order (raises on any failure)."""
-        for outcome in self.iter_outcomes(specs):
-            yield outcome.metrics
-
     def _execute(
         self, specs: Sequence[RunSpec]
     ) -> Iterator[Tuple[int, RunOutcome]]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.config import ScenarioConfig
 from repro.analysis.metrics import RunMetrics
@@ -867,9 +867,11 @@ def run_grid(
     points by spec, so a point's metrics never depend on completion order.
     """
     points = grid_points(grid, scale)
-    specs = list(dict.fromkeys(spec for _, spec in points))
     executor = executor or SweepExecutor()
-    finished = {outcome.spec: outcome.metrics for outcome in executor.iter_outcomes(specs)}
+    finished = {
+        outcome.spec: outcome.metrics
+        for outcome in executor.iter_outcomes([spec for _, spec in points])
+    }
     runs = {key: finished[spec] for key, spec in points}
     text, rows = grid.render(grid, runs)
     return SweepArtifact(name=name, text=text, rows=rows, raw=GridRuns(runs))
