@@ -748,7 +748,8 @@ def render_figure_table(
     grid: "SweepGrid", runs: Mapping[GridKey, RunMetrics], unit: str
 ) -> Tuple[str, List[Dict[str, Any]]]:
     """Figs. 8, 9, 12, 13: ``grid.printed[0]`` per environment, gateway count
-    and scheme, for a grid over ``(scheme, num_gateways, device_range_m)``."""
+    and scheme, for a grid over ``(scheme, num_gateways, device_range_m)``;
+    rows are ordered by range, then gateway count, then scheme."""
     metric = grid.printed[0]
     rows = [
         {

@@ -50,7 +50,8 @@ GOLDEN_PATH = Path(__file__).with_name("sweep_goldens.json")
 
 SCALES = {"smoke": SMOKE_SCALE, "benchmark": BENCHMARK_SCALE}
 
-#: Every grid sweep and the row columns its axes produce, in declared order.
+#: The comparison-table grid sweeps and the row columns their axes produce,
+#: in declared order.
 GRID_AXES = {
     "alpha": ("alpha",),
     "device-class": ("device_class",),
