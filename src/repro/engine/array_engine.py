@@ -22,22 +22,35 @@ around array-shaped state:
   speed times ``tick_s`` and
   :data:`~repro.network.spatial.RANGE_MASK_SLACK_M` to the range, so the
   candidacy is a superset of the oracle's ``math.hypot`` disc query.
-* **Disconnected fast path.**  In non-forwarding scenarios a slot with no
-  candidate gateway cannot be observed by anything: the frame reaches no
+* **Disconnected retry chains.**  In non-forwarding scenarios a slot with no
+  connected gateway cannot be observed by anything: the frame reaches no
   receiver, the reception resolution draws no randomness, and the queue
   keeps its messages.  The fast path skips packet construction and medium
-  registration entirely and accounts only the observable effects (duty
-  cycle, energy, retransmission counters, the next retry event).
+  registration entirely and accounts only the device's own effects (duty
+  cycle, energy, RCA-ETX observation, retransmission counter).  Without a
+  scheme slot hook or queue expiry it then runs the device's whole retry
+  chain inline — completion, retry at the duty-cycle release, next slot —
+  while each retry lands strictly before the device's next generation, in
+  a tick where the device has no gateway candidate (a per-tick look-ahead
+  byte row), inside its trace and the run.  Only the first event that
+  leaves the chain goes on the heap: one heap round trip per chain instead
+  of two per retry.
 * **Per-(channel, SF) collision buckets.**  Registered transmissions land in
   start-time-ordered buckets with a monotone head pointer; the capture
   check replicates :meth:`~repro.phy.collision.CollisionModel.is_received`
   over the bucket instead of scanning one global registry.  Entries are
   discarded once no current-or-future frame can overlap them (bounded by
   the bucket's maximum airtime), so the scan window stays O(recent frames).
-* **Raw event heap.**  Events are plain tuples on a :mod:`heapq` list.  The
-  push sequence mirrors the oracle's :class:`~repro.sim.events.EventQueue`
-  push sequence one-to-one, so the (time, priority, insertion-order) pop
-  order — and with it every RNG draw and message id — is identical.
+* **Raw event heap.**  Events are plain tuples on a :mod:`heapq` list,
+  ordered by (time, priority, insertion order) like the oracle's
+  :class:`~repro.sim.events.EventQueue`.  Every event that runs on the heap
+  pops in the oracle's relative order, so every RNG draw and message id is
+  identical.  Pushes mirror the oracle's one-to-one except inside retry
+  chains, whose events touch only their own device and are never pushed.
+  The one exit event a chain pushes is pushed early, which can move it
+  ahead only of another device's event at the same (time, priority); a
+  chain therefore starts only at a slot time no other event shares (see
+  ``_run_chain``).
 * **Vectorized forwarding hot path.**  In forwarding scenarios every
   completed uplink fans out to its overhearers.  Neighbour candidacy is
   answered from per-tick arrays (squared-distance mask over the tick's
@@ -261,6 +274,8 @@ class ArrayMLoRaSimulation:
         # the reception stream; collision resolution happens in the buckets.
         self._reception_rng = self.medium.reception_rng
         self.now = 0.0
+        # Time of the event popped before the current one.
+        self._prev_now = _NEG_INF
         self._duration = self.config.duration_s
         self._heap: List[tuple] = []
         self._seq = 0
@@ -351,6 +366,22 @@ class ArrayMLoRaSimulation:
         if not self._exact_topology and self._devices:
             self._build_prefilter()
         self._fast_path_ok = not self._uses_forwarding and not self._exact_topology
+        # Disconnected retry chains run inline wherever nothing but the device
+        # itself can observe them: no scheme slot hook and no queue expiry.
+        self._chain_ok = (
+            self._fast_path_ok
+            and self._scheme_observe is None
+            and not any(self._queue_needs_expiry)
+        )
+        # Each device's next generation time (inf once none is left), kept
+        # current as generations pop.
+        self._next_gen = [math.inf] * len(self._devices)
+        self._gen_end = [min(end, self._duration) for end in self._trace_end]
+        # Look-ahead candidacy: byte ``tick * n_devices + i`` is 1 when device
+        # ``i`` has a gateway candidate in ``tick``.
+        self._tick_has_gw = b""
+        if self._chain_ok and self._devices:
+            self._build_tick_has_gw()
 
         # Batched forwarding decisions: only schemes that override
         # ``on_overhear_batch`` take the batch path — the base-class default
@@ -465,6 +496,22 @@ class ArrayMLoRaSimulation:
             for model in self._cap_models
         ]
 
+    def _build_tick_has_gw(self) -> None:
+        """One byte per (tick, device): does the tick's candidacy hold a gateway?
+
+        Built from the same :meth:`GatewayGrid.candidates` call
+        :meth:`_refresh_tick` makes, so a chain's look-ahead agrees with the
+        candidacy the heap path would see at that tick.
+        """
+        grid = self._gateway_grid
+        rows = []
+        for tick in range(self._tick_x.shape[0]):
+            ptr, _ = grid.candidates(
+                self._tick_x[tick], self._tick_y[tick], self._reach_sq
+            )
+            rows.append((ptr[1:] != ptr[:-1]).astype(np.uint8).tobytes())
+        self._tick_has_gw = b"".join(rows)
+
     def _refresh_tick(self, tick: int) -> None:
         """Recompute the gateway candidacy (and receiver spans) for ``tick``.
 
@@ -562,6 +609,8 @@ class ArrayMLoRaSimulation:
                 continue
             time = start
             end = min(trace.end_time, self._duration)
+            if time < end:
+                self._next_gen[index] = time
             while time < end:
                 entries.append((time, ATTEMPT_PRIORITY, seq, _GENERATION, index))
                 seq += 1
@@ -583,8 +632,12 @@ class ArrayMLoRaSimulation:
         on_complete = self._on_uplink_complete
         attempt = self._attempt_uplink
         devices = self._devices
+        next_gen = self._next_gen
+        gen_end = self._gen_end
+        interval = self.config.device.message_interval_s
         while heap and heap[0][0] <= duration:
             time, _, _, kind, payload = heappop(heap)
+            self._prev_now = self.now
             self.now = time
             if kind == _FAST_COMPLETION:
                 on_fast(payload)
@@ -594,6 +647,12 @@ class ArrayMLoRaSimulation:
                 pending[payload] = False
                 attempt(payload)
             else:  # _GENERATION — always inside the device's active span
+                # The scheduler's own ``time += interval``, so this is
+                # exactly the device's next generation entry on the heap.
+                upcoming = time + interval
+                if upcoming >= gen_end[payload]:
+                    upcoming = math.inf
+                next_gen[payload] = upcoming
                 devices[payload].generate_message(time)
                 attempt(payload)
         # Land the clock exactly like the oracle's Simulator.run(until=...):
@@ -687,10 +746,102 @@ class ArrayMLoRaSimulation:
         stats.uplink_transmissions += 1
         end = now + airtime_s
         device.last_uplink_end = end
-        heappush(
-            self._heap, (end, COMPLETION_PRIORITY, self._seq, _FAST_COMPLETION, index)
-        )
+        # A chain pushes its exit event early, so it starts only at a slot
+        # time no other event shares: not the previous pop's, not the heap
+        # top's (see ``_run_chain``).  A pending attempt of this device would
+        # sit at ``now`` too; the explicit check keeps that local.
+        heap = self._heap
+        if (
+            self._chain_ok
+            and not self._attempt_pending[index]
+            and self._prev_now != now
+            and not (heap and heap[0][0] == now)
+        ):
+            self._run_chain(index, end, airtime_s, off_time, channel)
+            return
+        heappush(heap, (end, COMPLETION_PRIORITY, self._seq, _FAST_COMPLETION, index))
         self._seq += 1
+
+    def _run_chain(
+        self, index: int, end: float, airtime_s: float, off_time: float, channel: int
+    ) -> None:
+        """Run a disconnected retry chain inline from a slot ending at ``end``.
+
+        Each step is the fast completion at ``end`` (``_on_fast_completion``)
+        and then the retry slot at the duty-cycle release time
+        (``_attempt_uplink`` + ``_fast_disconnected_uplink``), with the same
+        arithmetic in the same order.  Nothing in a step is visible to any
+        other device: the frame is unheard, no RNG is drawn, nothing is
+        generated or delivered, so the bundle and its airtime stay fixed.
+
+        A step runs inline only where the heap would pop its event before
+        anything else of this device's: the completion at or before the next
+        generation (completions sort before generations at a tie), the retry
+        strictly before it (the generation was pushed first).  The first
+        event that cannot run inline is pushed as the heap path would have
+        pushed it, and the chain stops.
+
+        That exit event is pushed when the chain starts, not when its
+        predecessor would have popped, so it takes an earlier sequence
+        number.  This reorders it only against another device's event at
+        the same (time, priority) pushed in between.  Slot times are sums of
+        airtimes and off-times from the slot that started the chain, so such
+        a tie comes from another device transmitting in lockstep: both
+        started at the same instant with the same airtime and share every
+        event time.  The caller therefore starts a chain only at a slot time
+        no other event shares.
+        """
+        duration = self._duration
+        next_gen = self._next_gen[index]
+        device = self._devices[index]
+        stats = self._stats[index]
+        max_retrans = self._max_retrans[index]
+        trace_end = self._trace_end[index]
+        next_allowed = self._na_dicts[index]
+        duty = self._duty[index]
+        energy = self._energy_sec[index]
+        tick_s = self._tick_s
+        has_gw = self._tick_has_gw
+        n_devices = len(self._devices)
+        observe = self._observe_slot
+        while True:
+            if end > duration or end > next_gen:
+                heappush(
+                    self._heap,
+                    (end, COMPLETION_PRIORITY, self._seq, _FAST_COMPLETION, index),
+                )
+                self._seq += 1
+                return
+            # The fast completion at ``end``: a failed uplink.
+            device.retransmission_count += 1
+            stats.retransmissions += 1
+            if device.retransmission_count > max_retrans:
+                return
+            retry_at = next_allowed[channel]
+            if retry_at >= duration:
+                return
+            if (
+                retry_at >= next_gen
+                or retry_at > trace_end
+                or has_gw[int(retry_at // tick_s) * n_devices + index]
+            ):
+                # ``retry_at >= end``: the off-time is non-negative.
+                self._attempt_pending[index] = True
+                heappush(
+                    self._heap, (retry_at, ATTEMPT_PRIORITY, self._seq, _ATTEMPT, index)
+                )
+                self._seq += 1
+                return
+            # The retry slot at ``retry_at``: active, the duty cycle just
+            # released and no gateway candidate, so a fast disconnected slot.
+            observe(index, retry_at, 0.0)
+            duty._total_airtime_s += airtime_s
+            duty._transmissions += 1
+            next_allowed[channel] = retry_at + airtime_s + off_time
+            energy[_TX] += airtime_s
+            stats.uplink_transmissions += 1
+            end = retry_at + airtime_s
+            device.last_uplink_end = end
 
     def _observe_slot(self, index: int, now: float, capacity_bps: float) -> None:
         """Inlined ``rca_etx.observe_transmission_slot(now, capacity, 0.0)``.

@@ -24,6 +24,7 @@ result computed on one engine is a cache hit for the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -39,7 +40,7 @@ class EngineConfig:
     positions and gateway candidacy are prefiltered once per tick and reused
     (with a speed-derived safety margin) for every transmission inside it.
     It is a pure performance knob — results are bit-identical for any
-    positive value.
+    positive finite value.
     """
 
     engine: str = "object"
@@ -50,8 +51,11 @@ class EngineConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; available: {list(ENGINES)}"
             )
-        if self.tick_s <= 0:
-            raise ValueError(f"tick_s must be positive, got {self.tick_s}")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not (math.isfinite(self.tick_s) and self.tick_s > 0):
+            raise ValueError(
+                f"tick_s must be a positive finite number, got {self.tick_s!r}"
+            )
 
     def with_engine(self, engine: str) -> "EngineConfig":
         """A copy selecting a different engine."""

@@ -24,6 +24,11 @@ class RadioState(Enum):
     RX = "rx"
     TX = "tx"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with ``Enum.__eq__``; it replaces Enum's Python-level
+    # ``hash(self._name_)`` on every energy-book update.
+    __hash__ = object.__hash__
+
 
 #: Typical SX1276 current draw per state, in milliamps.
 DEFAULT_CURRENT_MA: Dict[RadioState, float] = {

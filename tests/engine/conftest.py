@@ -43,16 +43,23 @@ def build_manual_scenario(
     device_positions: Mapping[str, Point],
     gateway_positions: Mapping[str, Point],
     trace_windows: Optional[Mapping[str, Tuple[float, float]]] = None,
+    moving: Optional[Mapping[str, MobilityTrace]] = None,
 ) -> BuiltScenario:
     """A BuiltScenario with hand-placed static devices and gateways.
 
     ``trace_windows`` bounds a device's in-service interval; devices without
     an entry are in service for the whole run (open-ended static trace).
+    ``moving`` gives a device an explicit trace instead; its position in
+    ``device_positions`` is then only used for the bounding box.
     """
     streams = RandomStreams(config.seed)
     windows = dict(trace_windows or {})
+    moving = dict(moving or {})
     traces: Dict[str, MobilityTrace] = {}
     for device_id, position in device_positions.items():
+        if device_id in moving:
+            traces[device_id] = moving[device_id]
+            continue
         start, end = windows.get(device_id, (0.0, math.inf))
         traces[device_id] = MobilityTrace.static(
             position, start=start, end=end, node_id=device_id

@@ -30,6 +30,13 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(tick_s=0.0)
 
+    @pytest.mark.parametrize("tick_s", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_tick_is_rejected(self, tick_s):
+        # An infinite tick once put a whole run in one tick and silently
+        # delivered nothing on the array engine; NaN crashed the prefilter.
+        with pytest.raises(ValueError, match="tick_s"):
+            EngineConfig(tick_s=tick_s)
+
     def test_with_engine_helper_composes(self):
         config = ScenarioConfig().with_engine("array", tick_s=7.0)
         assert config.engine == EngineConfig(engine="array", tick_s=7.0)
@@ -58,6 +65,13 @@ class TestSerialization:
         config = ScenarioConfig().with_engine("array", tick_s=7.5)
         assert scenario_from_json(scenario_to_json(config)) == config
         assert scenario_from_toml(scenario_to_toml(config)) == config
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_tick_in_file_is_rejected(self, literal):
+        text = scenario_to_json(ScenarioConfig().with_engine(tick_s=7.5))
+        text = text.replace("7.5", literal)
+        with pytest.raises(ValueError, match="tick_s"):
+            scenario_from_json(text)
 
     def test_unknown_engine_in_file_is_rejected(self):
         text = scenario_to_json(ScenarioConfig()).replace('"object"', '"warp"')

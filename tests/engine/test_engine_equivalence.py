@@ -33,9 +33,10 @@ from hypothesis import strategies as st
 
 from repro.engine.array_engine import ArrayMLoRaSimulation
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.registry import get_preset
+from repro.experiments.registry import apply_overrides, get_preset
 from repro.experiments.runner import MLoRaSimulation, run_scenario
 from repro.experiments.scenario import build_scenario
+from repro.mac.device import DeviceConfig
 
 
 def _run_object(config: ScenarioConfig):
@@ -137,6 +138,16 @@ def scenario_configs(draw) -> ScenarioConfig:
             st.sampled_from(["modified-class-c", "class-a", "queue-based-class-a"])
         ),
     )
+    # Short intervals, a full duty cycle (retry at the completion) and small
+    # retry limits put retry chains on their generation and limit boundaries.
+    config = replace(
+        config,
+        device=DeviceConfig(
+            message_interval_s=float(draw(st.sampled_from([30, 60, 180]))),
+            duty_cycle=draw(st.sampled_from([0.01, 0.1, 1.0])),
+            max_retransmissions=draw(st.sampled_from([0, 1, 8])),
+        ),
+    )
     config = config.with_radio(
         num_channels=draw(st.sampled_from([1, 3])),
         sf_policy=draw(st.sampled_from(["fixed-sf7", "random", "distance-based"])),
@@ -213,3 +224,30 @@ class TestPresetGoldens:
         config = preset_golden_config(preset_name)
         metrics = MLoRaSimulation(build_scenario(config)).run()
         assert _fingerprint(metrics) == GOLDEN_ARRAY_FINGERPRINTS[preset_name]
+
+
+# --------------------------------------------------------------------- #
+# megacity-10k: an oracle pin for the array engine's target scenario
+# --------------------------------------------------------------------- #
+#: RunMetrics fingerprint of megacity-10k at scale 0.05 over 900 s, recorded
+#: from the OBJECT engine.  Most of its slots are disconnected, so on the
+#: array engine most of them run as inline retry chains.
+MEGACITY_SMALL_FINGERPRINT = (
+    "60b68030b845ceaf7c9af3f42ad1d87f6133dcf233f63f43a596fd5f297ad748"
+)
+
+
+def megacity_small_config() -> ScenarioConfig:
+    config = apply_overrides(get_preset("megacity-10k").config, scale=0.05)
+    return replace(config, duration_s=900.0)
+
+
+class TestMegacityPin:
+    def test_array_engine_reproduces_the_oracle_pin(self):
+        config = megacity_small_config()
+        assert config.engine.engine == "array"
+        assert _fingerprint(run_scenario(config)) == MEGACITY_SMALL_FINGERPRINT
+
+    def test_pin_is_oracle_derived(self):
+        metrics = MLoRaSimulation(build_scenario(megacity_small_config())).run()
+        assert _fingerprint(metrics) == MEGACITY_SMALL_FINGERPRINT

@@ -4,9 +4,11 @@ The engine used to rebuild a dense ``(n_devices, n_gateways)`` distance
 matrix, with same-sized temporaries, on every tick.  The static gateway grid
 replaced it; this test keeps it from coming back.  ``tracemalloc`` counts
 NumPy buffers too, so the measurement is deterministic: no wall-clock, no
-RSS.
+RSS.  The retry chains' look-ahead table is held to one byte per (tick,
+device).
 """
 
+import sys
 import tracemalloc
 
 from repro.engine.array_engine import ArrayMLoRaSimulation
@@ -41,3 +43,8 @@ def test_init_and_tick_candidacy_never_allocate_a_fleet_by_gateway_matrix():
     # Memory allocated and freed again, above what stays allocated.
     assert init_peak - retained < dense_bytes
     assert tick_peak - retained < dense_bytes
+    # The chain look-ahead: one compact byte per (tick, device), not lists.
+    assert sim._chain_ok
+    look_ahead = sim._tick_has_gw
+    assert len(look_ahead) == n_ticks * n_devices
+    assert sys.getsizeof(look_ahead) - sys.getsizeof(b"") <= n_ticks * n_devices

@@ -188,6 +188,18 @@ class TestService:
         assert status == 400, payload
         assert "duration_s" in payload["error"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_engine_tick_is_a_400(self, service, tiny_config, value):
+        scenario = scenario_to_dict(tiny_config)
+        scenario["engine"] = {**scenario["engine"], "tick_s": value}
+        jobs_before = dict(service.jobs)
+        status, payload = _request(
+            service, "POST", "/runs", {"spec": {"scenario": scenario}}
+        )
+        assert status == 400, payload
+        assert "tick_s" in payload["error"]
+        assert service.jobs == jobs_before
+
     def test_executor_without_store_is_rejected(self):
         with pytest.raises(ValueError, match="store"):
             CampaignService(SweepExecutor(workers=1))

@@ -48,3 +48,25 @@ class TestEnergyModel:
     def test_unknown_state_defaults_populated(self):
         model = EnergyModel(current_ma={RadioState.TX: 50.0})
         assert model.current_ma[RadioState.RX] == DEFAULT_CURRENT_MA[RadioState.RX]
+
+
+class TestRadioStateKeys:
+    def test_hash_is_the_identity_hash(self):
+        # Members are singletons, so the identity hash agrees with equality.
+        assert RadioState.__hash__ is object.__hash__
+        assert RadioState("tx") is RadioState.TX
+        assert {RadioState.TX: 1.0}[RadioState("tx")] == 1.0
+
+    def test_energy_sums_the_books_in_state_order(self):
+        model = EnergyModel()
+        for state, seconds in zip(RadioState, (7.0, 0.3, 11.0, 0.25)):
+            model.accumulate(state, seconds)
+        assert list(model._seconds) == list(RadioState)
+        expected = 0.0
+        for state in RadioState:
+            expected += (
+                (model.current_ma[state] / 1000.0)
+                * model.supply_voltage_v
+                * model.seconds_in(state)
+            )
+        assert model.energy_joules() == expected
