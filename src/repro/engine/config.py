@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.config_fields import normalize_numbers
+
 #: The registered simulation engines.
 ENGINES: Tuple[str, ...] = ("object", "array")
 
@@ -47,6 +49,7 @@ class EngineConfig:
     tick_s: float = 30.0
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; available: {list(ENGINES)}"

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.config_fields import normalize_numbers
 from repro.engine.config import EngineConfig
 from repro.mac.device import DeviceConfig
 from repro.mobility.config import MobilityConfig
@@ -74,6 +75,7 @@ class ScenarioConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         # Written so NaN fails too: every comparison with NaN is False.
         for name in ("duration_s", "area_km2", "gateway_range_m", "device_range_m"):
             value = getattr(self, name)

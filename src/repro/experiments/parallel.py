@@ -34,7 +34,7 @@ import json
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -50,6 +50,7 @@ from typing import (
 )
 
 from repro.analysis.metrics import RunMetrics
+from repro.config_fields import config_to_dict
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.experiments.serialization import scenario_from_dict, scenario_to_dict
@@ -64,9 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends → paralle
 #: Result-affecting sections omitted from the digest while they hold their
 #: defaults, so configurations that predate each subsystem keep their digests.
 _OMITTED_WHILE_DEFAULT = {
-    "radio": asdict(RadioConfig()),
-    "mobility": asdict(MobilityConfig()),
-    "routing": asdict(RoutingConfig()),
+    "radio": config_to_dict(RadioConfig()),
+    "mobility": config_to_dict(MobilityConfig()),
+    "routing": config_to_dict(RoutingConfig()),
 }
 
 #: Derived seeds stay in the positive signed-64-bit range.
@@ -130,7 +131,7 @@ def config_digest(config: ScenarioConfig) -> str:
     section additionally digests the trace file's contents, since those
     *are* the scenario's mobility.
     """
-    payload_dict = asdict(config)
+    payload_dict = config_to_dict(config)
     del payload_dict["engine"]
     for section, default in _OMITTED_WHILE_DEFAULT.items():
         if payload_dict[section] == default:

@@ -16,39 +16,26 @@ changes can be detected instead of silently misread.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Union
 
 try:  # Python >= 3.11
     import tomllib
 except ImportError:  # pragma: no cover - older interpreters
     tomllib = None  # type: ignore[assignment]
 
-from repro.engine.config import EngineConfig
+from repro.config_fields import coerce_scalar, config_to_dict, field_table
 from repro.experiments.config import ScenarioConfig
-from repro.mac.device import DeviceConfig
-from repro.mobility.config import MobilityConfig
-from repro.radio.config import RadioConfig
-from repro.routing.config import BufferConfig, RoutingConfig
-
-#: Nested dataclass tables inside a scenario mapping.
-_NESTED_TABLES = {
-    "device": DeviceConfig,
-    "radio": RadioConfig,
-    "mobility": MobilityConfig,
-    "routing": RoutingConfig,
-    "engine": EngineConfig,
-}
-
-#: Dataclass sub-tables nested one level deeper, by (owner table, field).
-_NESTED_SUBTABLES = {("routing", "buffer"): BufferConfig}
 
 #: Bump when the serialized field layout changes incompatibly.
 SCENARIO_SCHEMA_VERSION = 1
 
 _SCHEMA_KEY = "schema_version"
+
+#: The scenario's sections in the order TOML exports emit their tables.
+_TOML_TABLES = ("device", "radio", "mobility", "routing", "engine")
 
 
 class ScenarioFormatError(ValueError):
@@ -61,61 +48,37 @@ class ScenarioFormatError(ValueError):
 def scenario_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """A JSON/TOML-ready mapping of every field of ``config``."""
     data: Dict[str, Any] = {_SCHEMA_KEY: SCENARIO_SCHEMA_VERSION}
-    data.update(dataclasses.asdict(config))
+    data.update(config_to_dict(config))
     return data
 
 
-def _coerce_field(owner: str, field: dataclasses.Field, value: Any) -> Any:
-    """Validate ``value`` against the field's annotated scalar type.
-
-    The one lossy spot in a text round trip is numeric typing (TOML and JSON
-    both render ``1.0`` indistinguishably from ``1`` in some writers), so
-    integers are accepted for float fields and promoted; everything else must
-    match exactly.  Booleans are rejected where ints are expected — ``True``
-    would otherwise silently pass an ``int`` check.
-    """
-    kind = field.type if isinstance(field.type, str) else getattr(field.type, "__name__", "")
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioFormatError(f"{owner}.{field.name} must be a number, got {value!r}")
-        return float(value)
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioFormatError(f"{owner}.{field.name} must be an integer, got {value!r}")
-        return int(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ScenarioFormatError(f"{owner}.{field.name} must be a boolean, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ScenarioFormatError(f"{owner}.{field.name} must be a string, got {value!r}")
-        return value
-    raise ScenarioFormatError(f"{owner}.{field.name} has unsupported type {kind!r}")
-
-
 def _build_dataclass(cls: type, owner: str, data: Mapping[str, Any]) -> Any:
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    table = field_table(cls)
+    kinds = table.kinds
+    unknown = data.keys() - kinds.keys()
     if unknown:
         raise ScenarioFormatError(
-            f"unknown {owner} field(s): {sorted(unknown)}; expected a subset of {sorted(fields)}"
+            f"unknown {owner} field(s): {sorted(unknown)}; expected a subset of {sorted(kinds)}"
         )
     kwargs: Dict[str, Any] = {}
     for name, value in data.items():
-        field = fields[name]
-        if owner == "scenario" and name in _NESTED_TABLES:
-            if not isinstance(value, Mapping):
-                raise ScenarioFormatError(f"{owner}.{name} must be a table/object, got {value!r}")
-            kwargs[name] = _build_dataclass(_NESTED_TABLES[name], name, value)
-        elif (owner, name) in _NESTED_SUBTABLES:
-            if not isinstance(value, Mapping):
-                raise ScenarioFormatError(f"{owner}.{name} must be a table/object, got {value!r}")
-            kwargs[name] = _build_dataclass(
-                _NESTED_SUBTABLES[(owner, name)], f"{owner}.{name}", value
-            )
-        else:
-            kwargs[name] = _coerce_field(owner, field, value)
+        section = table.sections.get(name)
+        if section is None:
+            # The one lossy spot in a text round trip is numeric typing (TOML
+            # and JSON writers may render 1.0 as 1), so float fields accept
+            # ints; everything else must match exactly.  The configuration
+            # classes apply the same rule to values given in Python.
+            try:
+                kwargs[name] = coerce_scalar(kinds[name], value)
+            except ValueError as exc:
+                raise ScenarioFormatError(f"{owner}.{name} {exc}") from None
+            continue
+        if not isinstance(value, Mapping):
+            raise ScenarioFormatError(f"{owner}.{name} must be a table/object, got {value!r}")
+        # Sections of the scenario are named plainly ("routing"), deeper ones
+        # by their dotted path ("routing.buffer").
+        path = name if owner == "scenario" else f"{owner}.{name}"
+        kwargs[name] = _build_dataclass(section, path, value)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -202,7 +165,7 @@ def scenario_to_toml(config: ScenarioConfig) -> str:
     owner's scalars so the TOML table structure stays valid.
     """
     data = scenario_to_dict(config)
-    tables = {name: data.pop(name) for name in _NESTED_TABLES}
+    tables = {name: data.pop(name) for name in _TOML_TABLES}
     lines = [f"{key} = {_toml_scalar('scenario', key, value)}" for key, value in data.items()]
     for name, table in tables.items():
         subtables = {

@@ -92,19 +92,21 @@ class ResultStore:
         is deleted before returning ``None``: leaving it in place would make
         every future execution re-read and re-discard it, silently turning a
         one-off truncation into a permanent cache miss.
+
+        The entry is opened without a stat first: an absent entry (or a
+        directory in its place) is the open's ``OSError``, so a hit costs one
+        system call less and nothing can vanish between a check and the open.
         """
         path = self.path_for(key)
-        if not path.is_file():
-            return None
         try:
-            with path.open("rb") as handle:
+            with open(path, "rb") as handle:
                 metrics = pickle.loads(handle.read())
         except (pickle.UnpicklingError, EOFError, ValueError, IndexError):
             self._discard_damaged(path)
             return None
         except OSError:
-            # Transient read failure (permissions, racing unlink): miss
-            # without destroying what may be a healthy entry.
+            # A miss, or a transient read failure (permissions, racing
+            # unlink): never destroy what may be a healthy entry.
             return None
         if not isinstance(metrics, RunMetrics):
             self._discard_damaged(path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
+from repro.config_fields import normalize_numbers
 from repro.core.rca_etx import RCAETXState
 from repro.mac.device_classes import DeviceClass, ModifiedClassC
 from repro.mac.duty_cycle import DutyCycleRegulator
@@ -41,6 +42,7 @@ class DeviceConfig:
     ewma_alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.message_interval_s <= 0:
             raise ValueError("message_interval_s must be positive")
         if self.message_size_bytes <= 0:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.config_fields import normalize_numbers
+
 #: The registered mobility models:
 #:
 #: ``london-bus``
@@ -63,6 +65,7 @@ class MobilityConfig:
     trace_file: str = ""
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.model not in MOBILITY_MODELS:
             raise ValueError(
                 f"unknown mobility model {self.model!r}; available: {list(MOBILITY_MODELS)}"

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.config_fields import normalize_numbers
+
 #: The registered spreading-factor allocation policies:
 #:
 #: ``fixed-sf7``
@@ -50,6 +52,7 @@ class RadioConfig:
     sf_policy: str = "fixed-sf7"
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
         if self.sf_policy not in SF_POLICIES:

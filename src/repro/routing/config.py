@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.config_fields import normalize_numbers
+
 #: The registered buffer-management policies (see
 #: :mod:`repro.mac.queueing` for the strategy objects):
 #:
@@ -69,6 +71,7 @@ class BufferConfig:
     ttl_s: float = 0.0
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.policy not in BUFFER_POLICIES:
             raise ValueError(
                 f"unknown buffer policy {self.policy!r}; available: {list(BUFFER_POLICIES)}"
@@ -118,6 +121,7 @@ class RoutingConfig:
     buffer: BufferConfig = field(default_factory=BufferConfig)
 
     def __post_init__(self) -> None:
+        normalize_numbers(self)
         if self.max_handover_messages <= 0:
             raise ValueError("max_handover_messages must be positive")
         if self.spray_initial_copies < 1:

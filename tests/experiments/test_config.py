@@ -1,10 +1,19 @@
 """Unit tests for the scenario configuration."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.parallel import RunSpec, config_digest
 from repro.experiments.registry import apply_overrides
 from repro.experiments.serialization import ScenarioFormatError, scenario_from_dict
+from repro.mac.device import DeviceConfig
+from repro.mobility.config import MobilityConfig
+from repro.radio.config import RadioConfig
+from repro.routing.config import BufferConfig, RoutingConfig
 
 FLOAT_FIELDS = ("duration_s", "area_km2", "gateway_range_m", "device_range_m")
 
@@ -77,3 +86,73 @@ class TestScenarioConfig:
             ScenarioConfig().scaled(value)
         with pytest.raises(ValueError, match="scale"):
             apply_overrides(ScenarioConfig(), scale=value)
+
+
+# --------------------------------------------------------------------- #
+# Numeric field types: one configuration, one cache key
+# --------------------------------------------------------------------- #
+#: (section class, float field, int field) per configuration section.
+SECTION_NUMBERS = [
+    (ScenarioConfig, "duration_s", "num_gateways"),
+    (DeviceConfig, "message_interval_s", "max_queue_size"),
+    (RadioConfig, None, "num_channels"),
+    (MobilityConfig, "grid_spacing_m", "num_nodes"),
+    (RoutingConfig, "rgq_phi_max", "max_handover_messages"),
+    (BufferConfig, None, "capacity"),
+    (EngineConfig, "tick_s", None),
+]
+
+
+class TestNumericFieldTypes:
+    """The Python API types numbers the way scenario files already do."""
+
+    def test_int_for_float_is_the_same_configuration_and_cache_key(self):
+        as_int = dataclasses.replace(ScenarioConfig(), duration_s=1800)
+        as_float = dataclasses.replace(ScenarioConfig(), duration_s=1800.0)
+        assert type(as_int.duration_s) is float
+        assert config_digest(as_int) == config_digest(as_float)
+        assert RunSpec(config=as_int).cache_key() == RunSpec(config=as_float).cache_key()
+
+    def test_helpers_promote_ints_too(self):
+        config = ScenarioConfig().with_device_range(1000).with_engine(tick_s=60)
+        assert type(config.device_range_m) is float
+        assert type(config.engine.tick_s) is float
+        assert config_digest(config) == config_digest(
+            ScenarioConfig().with_device_range(1000.0)
+        )
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2"])
+    def test_int_fields_reject_bools_and_non_integers(self, value):
+        with pytest.raises(ValueError, match="num_gateways must be an integer"):
+            ScenarioConfig(num_gateways=value)
+
+    @pytest.mark.parametrize("value", [True, "1800", None])
+    def test_float_fields_reject_bools_and_non_numbers(self, value):
+        with pytest.raises(ValueError, match="duration_s must be a number"):
+            ScenarioConfig(duration_s=value)
+
+    def test_numpy_numbers_become_python_numbers(self):
+        config = ScenarioConfig(num_gateways=np.int64(3), area_km2=np.float32(0.5))
+        assert type(config.num_gateways) is int and config.num_gateways == 3
+        assert type(config.area_km2) is float and config.area_km2 == 0.5
+        assert config_digest(config) == config_digest(
+            ScenarioConfig(num_gateways=3, area_km2=0.5)
+        )
+
+    @pytest.mark.parametrize("cls, float_field, int_field", SECTION_NUMBERS)
+    def test_every_section_normalises_its_numbers(self, cls, float_field, int_field):
+        if float_field is not None:
+            value = getattr(cls(), float_field)
+            promoted = cls(**{float_field: int(value)})
+            assert type(getattr(promoted, float_field)) is float
+        if int_field is not None:
+            value = getattr(cls(), int_field)
+            for bad in (True, float(value)):
+                with pytest.raises(ValueError, match=f"{int_field} must be an integer"):
+                    cls(**{int_field: bad})
+
+    def test_scenario_files_and_the_api_agree(self):
+        from_file = scenario_from_dict({"duration_s": 1800, "routing": {"rgq_phi_max": 10}})
+        from_api = ScenarioConfig(duration_s=1800, routing=RoutingConfig(rgq_phi_max=10))
+        assert from_file == from_api
+        assert config_digest(from_file) == config_digest(from_api)

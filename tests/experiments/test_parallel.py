@@ -8,12 +8,15 @@ sibling was cached — live in ``test_backends.py``.
 """
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config_fields import config_to_dict
 from repro.engine import ENGINES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
@@ -29,8 +32,11 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.figures import ReproductionScale
 from repro.experiments.registry import SweepAxis, SweepGrid, run_grid
+from repro.mac.device import DeviceConfig
 from repro.mobility.config import MobilityConfig
+from repro.radio.config import RadioConfig
 from repro.routing import scheme_names
+from repro.routing.config import BufferConfig, RoutingConfig
 
 
 def gateway_specs(config, gateway_counts, schemes):
@@ -385,3 +391,75 @@ class TestCacheKeyContract:
     @given(scenario_configs(), st.sampled_from(sorted(RESULT_AFFECTING)))
     def test_result_affecting_fields_change_the_key(self, config, field):
         assert _key(RESULT_AFFECTING[field](config)) != _key(config)
+
+
+# --------------------------------------------------------------------- #
+# The shallow flattener against the deep-copying reference
+# --------------------------------------------------------------------- #
+_REFERENCE_OMITTED = {
+    "radio": dataclasses.asdict(RadioConfig()),
+    "mobility": dataclasses.asdict(MobilityConfig()),
+    "routing": dataclasses.asdict(RoutingConfig()),
+}
+
+
+def reference_digest(config: ScenarioConfig) -> str:
+    """``config_digest`` as written on :func:`dataclasses.asdict`."""
+    payload = dataclasses.asdict(config)
+    del payload["engine"]
+    for section, default in _REFERENCE_OMITTED.items():
+        if payload[section] == default:
+            del payload[section]
+    mobility = payload.get("mobility")
+    if mobility and mobility["model"] == "trace-file":
+        mobility["trace_file_sha256"] = _trace_file_content_digest(mobility["trace_file"])
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@st.composite
+def typed_loosely(draw) -> ScenarioConfig:
+    """A :func:`scenario_configs` draw with ints given for float fields and
+    a non-default routing buffer."""
+    config = draw(scenario_configs())
+    as_number = st.one_of(st.integers(1, 5000), st.floats(1.0, 5000.0))
+    buffer = draw(
+        st.one_of(
+            st.builds(
+                BufferConfig,
+                policy=st.sampled_from(_POLICIES),
+                capacity=st.integers(0, 64),
+            ),
+            st.builds(
+                BufferConfig,
+                policy=st.just("ttl-expiry"),
+                capacity=st.integers(0, 64),
+                ttl_s=as_number,
+            ),
+        )
+    )
+    return dataclasses.replace(
+        config,
+        area_km2=draw(as_number),
+        device_range_m=draw(as_number),
+        gateway_range_m=draw(as_number),
+        device=DeviceConfig(message_interval_s=draw(as_number)),
+        routing=RoutingConfig(rgq_phi_max=draw(st.integers(1, 10)), buffer=buffer),
+    )
+
+
+class TestFlattener:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(scenario_configs(), typed_loosely()))
+    def test_flattener_and_digest_match_the_asdict_reference(self, config):
+        flat = config_to_dict(config)
+        assert flat == dataclasses.asdict(config)
+        # == conflates 1 and 1.0; the JSON text does not.
+        assert json.dumps(flat) == json.dumps(dataclasses.asdict(config))
+        assert config_digest(config) == reference_digest(config)
+
+    def test_trace_file_digest_matches_the_reference(self, tiny_config, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("node,t,x,y\n0,0.0,0.0,0.0\n")
+        config = tiny_config.with_mobility(trace_file=str(trace))
+        assert config_digest(config) == reference_digest(config)

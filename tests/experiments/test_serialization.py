@@ -94,6 +94,17 @@ class TestRoundTrip:
                 assert restored == preset.config, preset.name
                 assert config_digest(restored) == config_digest(preset.config)
 
+    def test_every_preset_exports_its_asdict_fields(self):
+        # The shallow flattener behind the exports equals the deep-copying
+        # dataclasses.asdict, value types included (compared as JSON text,
+        # since == conflates 1 and 1.0).
+        for preset in iter_presets():
+            reference = {"schema_version": SCENARIO_SCHEMA_VERSION}
+            reference.update(dataclasses.asdict(preset.config))
+            data = scenario_to_dict(preset.config)
+            assert data == reference, preset.name
+            assert json.dumps(data) == json.dumps(reference), preset.name
+
     def test_round_trip_preserves_cache_key(self):
         spec = RunSpec(config=FULLY_CUSTOM, nominal_gateways=70)
         restored = RunSpec(
@@ -107,6 +118,17 @@ class TestRoundTrip:
         assert "[routing]" in text
         assert "[routing.buffer]" in text
         assert 'policy = "ttl-expiry"' in text
+
+    def test_toml_table_order_is_stable(self):
+        # Exported files stay byte-identical across releases: the sections
+        # keep their historical order, not the dataclass field order.
+        headers = [
+            line for line in scenario_to_toml(FULLY_CUSTOM).splitlines()
+            if line.startswith("[")
+        ]
+        assert headers == [
+            "[device]", "[radio]", "[mobility]", "[routing]", "[routing.buffer]", "[engine]"
+        ]
 
     def test_partial_routing_table_uses_defaults(self):
         restored = scenario_from_dict(

@@ -39,10 +39,42 @@ class TestResultStore:
         assert _key("k1") in store
         assert store.load(_key("k1")) == tiny_metrics
 
-    def test_miss_returns_none(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_miss_returns_none(self, tiny_metrics, tmp_path):
+        store = ResultStore(tmp_path / "store")
         assert store.load(_key("absent")) is None
         assert _key("absent") not in store
+        assert not (tmp_path / "store").exists()
+        store.store(_key("kept"), tiny_metrics)
+        assert store.load(_key("absent")) is None
+        assert list(store.iter_keys()) == [_key("kept")]
+
+    def test_directory_at_the_entry_path_is_a_miss_that_deletes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.path_for(_key("dir"))
+        (path / "inner").mkdir(parents=True)
+        assert store.load(_key("dir")) is None
+        assert (path / "inner").is_dir()
+
+    def test_entry_unlinked_after_key_validation_is_a_miss(
+        self, tiny_metrics, tmp_path, monkeypatch
+    ):
+        # The entry vanishes (a concurrent cleanup) between path_for's key
+        # validation and the open: a plain miss, and its sibling survives.
+        store = ResultStore(tmp_path)
+        store.store(_key("gone"), tiny_metrics)
+        store.store(_key("kept"), tiny_metrics)
+        validate = ResultStore.path_for
+
+        def validate_then_unlink(self, key):
+            path = validate(self, key)
+            path.unlink()
+            return path
+
+        monkeypatch.setattr(ResultStore, "path_for", validate_then_unlink)
+        assert store.load(_key("gone")) is None
+        monkeypatch.undo()
+        assert store.load(_key("kept")) == tiny_metrics
+        assert sorted(store.iter_keys()) == [_key("kept")]
 
     def test_layout_is_sharded_and_atomic(self, tiny_metrics, tmp_path):
         store = ResultStore(tmp_path)
