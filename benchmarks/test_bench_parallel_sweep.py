@@ -12,7 +12,6 @@ import os
 import time
 
 from benchmarks.conftest import SWEEP_SCALE
-from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import URBAN_DEVICE_RANGE_M, ReproductionScale
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.registry import SweepAxis, SweepGrid, run_grid
@@ -30,13 +29,9 @@ PARALLEL_SCALE = ReproductionScale(
 URBAN_GRID = SweepGrid(
     title="Density sweep, urban",
     axes=(
-        SweepAxis("scheme", ScenarioConfig.with_scheme),
-        SweepAxis("num_gateways", ScenarioConfig.with_gateways, values="gateway_counts"),
-        SweepAxis(
-            "device_range_m",
-            ScenarioConfig.with_device_range,
-            values=(URBAN_DEVICE_RANGE_M,),
-        ),
+        SweepAxis("scheme", "scheme"),
+        SweepAxis("num_gateways", "num_gateways", values="gateway_counts"),
+        SweepAxis("device_range_m", "device_range_m", values=(URBAN_DEVICE_RANGE_M,)),
     ),
 )
 

@@ -28,7 +28,6 @@ reproduces).
 
 from repro.analysis import RunMetrics
 from repro.experiments import ScenarioConfig, run_scenario
-from repro.routing import SCHEME_REGISTRY, make_scheme
 
 __version__ = "1.0.0"
 
@@ -36,7 +35,5 @@ __all__ = [
     "RunMetrics",
     "ScenarioConfig",
     "run_scenario",
-    "SCHEME_REGISTRY",
-    "make_scheme",
     "__version__",
 ]

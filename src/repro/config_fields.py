@@ -3,16 +3,20 @@
 A :class:`~repro.experiments.config.ScenarioConfig` and each of its sections
 (device, radio, mobility, routing with its buffer, engine) is a frozen
 dataclass whose fields are scalars (``int``, ``float``, ``bool``, ``str``)
-or nested sections.  :func:`field_table` reads a class's fields once; three
+or nested sections.  :func:`field_table` reads a class's fields once; four
 per-instance jobs use the table:
 
 * :func:`normalize_numbers`, called first in every section's
   ``__post_init__``, makes numeric field types exact: an int in a float
-  field becomes a float, and an int field accepts integers only (never a
-  bool).  Scenario files are read under the same rule
+  field becomes a float, an int field accepts integers only (never a
+  bool), and a float field is finite (NaN would slip past every range
+  check).  Scenario files are read under the same rule
   (:func:`coerce_scalar`), so ``duration_s=1800`` and ``duration_s=1800.0``
   are one configuration with one cache key, whether typed in Python or in a
   file.
+* :func:`replace_fields` derives a variant from dotted field paths
+  (``"radio.num_channels"``); the CLI overrides and the sweep axes are
+  tables of such paths.
 * :func:`config_to_dict` is the flattener behind the configuration digest
   and the scenario exports.  It equals :func:`dataclasses.asdict` on these
   classes but copies field values shallowly: every leaf is an immutable
@@ -24,9 +28,10 @@ per-instance jobs use the table:
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import typing
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Mapping, Tuple, TypeVar
 
 #: The scalar field kinds a configuration section may declare, by the
 #: annotation's name.
@@ -113,23 +118,79 @@ def normalize_numbers(section: Any) -> None:
     """Make the numeric fields of frozen ``section`` exactly typed, in place.
 
     Called first in each configuration section's ``__post_init__``; values
-    already of the exact type (every preset's) are left untouched.
+    already of the exact type (every preset's) are left untouched.  A NaN or
+    infinite float field is a :class:`ValueError`.
     """
     table = field_table(type(section))
     for name in table.floats:
-        if type(getattr(section, name)) is not float:
-            _coerce_in_place(section, "float", name)
+        value = getattr(section, name)
+        if type(value) is not float:
+            value = _coerce_in_place(section, "float", name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(section).__name__}.{name} must be finite, got {value!r}")
     for name in table.ints:
         if type(getattr(section, name)) is not int:
             _coerce_in_place(section, "int", name)
 
 
-def _coerce_in_place(section: Any, kind: str, name: str) -> None:
+def _coerce_in_place(section: Any, kind: str, name: str) -> Any:
     try:
         value = coerce_scalar(kind, getattr(section, name))
     except ValueError as exc:
         raise ValueError(f"{type(section).__name__}.{name} {exc}") from None
     object.__setattr__(section, name, value)
+    return value
+
+
+Config = TypeVar("Config")
+
+
+def replace_fields(config: Config, changes: Mapping[str, Any]) -> Config:
+    """A copy of ``config`` with each dotted field path set to its value.
+
+    ``replace_fields(config, {"radio.num_channels": 3, "seed": 5})`` rebuilds
+    every touched section once, deepest first, with one
+    :func:`dataclasses.replace`, so a section's ``__post_init__`` sees all
+    of its changes together (``mobility.model="trace-file"`` is valid only
+    with ``mobility.trace_file`` set).  A path must end on a scalar field;
+    an unknown segment, a path ending on a section or one running through a
+    scalar is a :class:`ValueError` naming the fields available there.
+    """
+    tree: Dict[str, Any] = {}
+    for path, value in changes.items():
+        cls, node = type(config), tree
+        *sections, leaf = path.split(".")
+        for depth, name in enumerate(sections):
+            table = field_table(cls)
+            if name not in table.sections:
+                raise _path_error(path, sections[:depth], name, table)
+            cls, node = table.sections[name], node.setdefault(name, {})
+        table = field_table(cls)
+        if leaf not in table.kinds or leaf in table.sections:
+            raise _path_error(path, sections, leaf, table)
+        node[leaf] = value
+    return _replace_tree(config, tree)
+
+
+def _replace_tree(section: Any, tree: Dict[str, Any]) -> Any:
+    if not tree:
+        return section
+    sections = field_table(type(section)).sections
+    for name in tree.keys() & sections.keys():
+        tree[name] = _replace_tree(getattr(section, name), tree[name])
+    return dataclasses.replace(section, **tree)
+
+
+def _path_error(path: str, parents: List[str], name: str, table: FieldTable) -> ValueError:
+    prefix = ".".join(parents + [name])
+    if name in table.sections:
+        problem = f"{prefix!r} is a section, not a field"
+    elif name in table.kinds:
+        problem = f"{prefix!r} is a scalar field, not a section"
+    else:
+        problem = f"unknown field {prefix!r}"
+    available = sorted(".".join(parents + [field]) for field in table.kinds)
+    return ValueError(f"cannot set {path!r}: {problem}; available: {available}")
 
 
 def config_to_dict(section: Any) -> Dict[str, Any]:

@@ -84,7 +84,6 @@ class BackendOptions:
     workers: int = 1
     timeout_s: Optional[float] = None
     spool_dir: Optional[Union[str, Path]] = None
-    poll_interval_s: float = 0.1
 
 
 class ExecutionBackend(ABC):

@@ -233,7 +233,6 @@ register_execution_backend(
     "work-queue",
     lambda options: WorkQueueBackend(
         spool_dir=options.spool_dir,
-        poll_interval_s=options.poll_interval_s,
         lease_timeout_s=options.timeout_s,
     ),
 )

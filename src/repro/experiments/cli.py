@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.config_fields import field_table
 from repro.engine import ENGINES
 from repro.experiments.backends import (
     RetryPolicy,
@@ -254,12 +255,9 @@ def parse_scheme_params(items: Optional[Sequence[str]]) -> Optional[dict]:
     """
     if not items:
         return None
-    import dataclasses
-
+    table = field_table(RoutingConfig)
     field_types = {
-        field.name: field.type
-        for field in dataclasses.fields(RoutingConfig)
-        if field.name != "buffer"
+        name: kind for name, kind in table.kinds.items() if name not in table.sections
     }
     params: dict = {}
     for item in items:

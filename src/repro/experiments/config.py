@@ -76,11 +76,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         normalize_numbers(self)
-        # Written so NaN fails too: every comparison with NaN is False.
         for name in ("duration_s", "area_km2", "gateway_range_m", "device_range_m"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.num_gateways <= 0:
             raise ValueError("num_gateways must be positive")
         if self.gateway_placement not in ("grid", "random"):
@@ -113,7 +112,7 @@ class ScenarioConfig:
         if mobility.num_nodes > 0:
             # An explicit synthetic fleet shrinks with the area too; the
             # derived default (num_nodes == 0) already follows num_routes.
-            mobility = mobility.with_num_nodes(max(1, round(mobility.num_nodes * scale)))
+            mobility = replace(mobility, num_nodes=max(1, round(mobility.num_nodes * scale)))
         return replace(
             self,
             area_km2=self.area_km2 * scale,
@@ -126,24 +125,6 @@ class ScenarioConfig:
         """A copy of this configuration running a different forwarding scheme."""
         return replace(self, scheme=scheme)
 
-    def with_routing(self, **params) -> "ScenarioConfig":
-        """A copy with different routing parameters (RoutingConfig fields)."""
-        return replace(self, routing=self.routing.with_params(**params))
-
-    def with_buffer(
-        self,
-        policy: Optional[str] = None,
-        capacity: Optional[int] = None,
-        ttl_s: Optional[float] = None,
-    ) -> "ScenarioConfig":
-        """A copy with a different buffer-management policy/capacity/TTL."""
-        return replace(
-            self,
-            routing=self.routing.with_buffer(
-                policy=policy, capacity=capacity, ttl_s=ttl_s
-            ),
-        )
-
     def with_gateways(self, num_gateways: int) -> "ScenarioConfig":
         """A copy with a different gateway count (Fig. 8/9 sweeps)."""
         return replace(self, num_gateways=num_gateways)
@@ -155,55 +136,6 @@ class ScenarioConfig:
     def with_seed(self, seed: int) -> "ScenarioConfig":
         """A copy with a different master seed (replications)."""
         return replace(self, seed=seed)
-
-    def with_radio(
-        self,
-        num_channels: Optional[int] = None,
-        sf_policy: Optional[str] = None,
-    ) -> "ScenarioConfig":
-        """A copy with a different channel plan and/or SF allocation policy."""
-        radio = self.radio
-        if num_channels is not None:
-            radio = radio.with_channels(num_channels)
-        if sf_policy is not None:
-            radio = radio.with_sf_policy(sf_policy)
-        return replace(self, radio=radio)
-
-    def with_engine(
-        self,
-        engine: Optional[str] = None,
-        tick_s: Optional[float] = None,
-    ) -> "ScenarioConfig":
-        """A copy running on a different simulation engine."""
-        section = self.engine
-        if engine is not None:
-            section = section.with_engine(engine)
-        if tick_s is not None:
-            section = section.with_tick(tick_s)
-        return replace(self, engine=section)
-
-    def with_mobility(
-        self,
-        model: Optional[str] = None,
-        num_nodes: Optional[int] = None,
-        trace_file: Optional[str] = None,
-    ) -> "ScenarioConfig":
-        """A copy running a different mobility model (and/or fleet sizing)."""
-        if trace_file is not None and model is not None and model != "trace-file":
-            raise ValueError(
-                f"cannot combine a trace file with mobility model {model!r}; "
-                "a trace file implies the trace-file model"
-            )
-        mobility = self.mobility
-        if trace_file is not None:
-            # Before any model switch: selecting model="trace-file" is only
-            # valid once the path is in place.
-            mobility = mobility.with_trace_file(trace_file)
-        if model is not None:
-            mobility = mobility.with_model(model)
-        if num_nodes is not None:
-            mobility = mobility.with_num_nodes(num_nodes)
-        return replace(self, mobility=mobility)
 
     def mobility_spec(self):
         """The :class:`~repro.mobility.models.MobilitySpec` of this scenario."""

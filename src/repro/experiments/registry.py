@@ -33,6 +33,8 @@ from functools import partial
 from itertools import product
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.config_fields import replace_fields
+from repro.engine.config import EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.analysis.metrics import RunMetrics
 from repro.experiments.figures import (
@@ -468,7 +470,8 @@ register_preset(ScenarioPreset(
         trips_per_route=8,
         device_range_m=URBAN_DEVICE_RANGE_M,
         scheme="no-routing",
-    ).with_engine("array"),
+        engine=EngineConfig(engine="array"),
+    ),
 ))
 
 register_preset(ScenarioPreset(
@@ -485,73 +488,68 @@ register_preset(ScenarioPreset(
 # --------------------------------------------------------------------- #
 # Overrides (parameterized synthetic variants)
 # --------------------------------------------------------------------- #
+#: Each :func:`apply_overrides` keyword (the CLI's vocabulary) → the field
+#: path it sets.
+OVERRIDE_PATHS: Dict[str, str] = {
+    "scheme": "scheme",
+    "device_class": "device_class",
+    "num_gateways": "num_gateways",
+    "device_range_m": "device_range_m",
+    "gateway_placement": "gateway_placement",
+    "num_routes": "num_routes",
+    "trips_per_route": "trips_per_route",
+    "duration_s": "duration_s",
+    "seed": "seed",
+    "num_channels": "radio.num_channels",
+    "sf_policy": "radio.sf_policy",
+    "mobility": "mobility.model",
+    "mobility_nodes": "mobility.num_nodes",
+    "trace_file": "mobility.trace_file",
+    "buffer": "routing.buffer.policy",
+    "buffer_capacity": "routing.buffer.capacity",
+    "buffer_ttl_s": "routing.buffer.ttl_s",
+    "engine": "engine.engine",
+    "engine_tick_s": "engine.tick_s",
+}
+
+
 def apply_overrides(
     config: ScenarioConfig,
     *,
     scale: Optional[float] = None,
-    scheme: Optional[str] = None,
-    device_class: Optional[str] = None,
-    num_gateways: Optional[int] = None,
-    device_range_m: Optional[float] = None,
-    gateway_placement: Optional[str] = None,
-    num_routes: Optional[int] = None,
-    trips_per_route: Optional[int] = None,
-    duration_s: Optional[float] = None,
-    seed: Optional[int] = None,
-    num_channels: Optional[int] = None,
-    sf_policy: Optional[str] = None,
-    mobility: Optional[str] = None,
-    mobility_nodes: Optional[int] = None,
-    trace_file: Optional[str] = None,
     scheme_params: Optional[Mapping[str, Any]] = None,
-    buffer: Optional[str] = None,
-    buffer_capacity: Optional[int] = None,
-    buffer_ttl_s: Optional[float] = None,
-    engine: Optional[str] = None,
-    engine_tick_s: Optional[float] = None,
+    **overrides: Any,
 ) -> ScenarioConfig:
     """Derive a variant of ``config`` from CLI-style overrides.
 
     ``scale`` (density-preserving shrink, applied first) composes with the
     explicit field overrides, so e.g. ``scale=0.5, num_gateways=12`` means
-    "half the area and fleet, then exactly 12 gateways".
+    "half the area and fleet, then exactly 12 gateways".  Every other
+    keyword is a key of :data:`OVERRIDE_PATHS`, ``scheme_params`` maps
+    :class:`~repro.routing.config.RoutingConfig` field names to values, and
+    ``None`` leaves a field as it is.  A ``trace_file`` implies the
+    ``trace-file`` mobility model.
     """
+    unknown = overrides.keys() - OVERRIDE_PATHS.keys()
+    if unknown:
+        raise TypeError(
+            f"unknown override(s) {sorted(unknown)}; available: {sorted(OVERRIDE_PATHS)}"
+        )
+    changes = {
+        OVERRIDE_PATHS[name]: value for name, value in overrides.items() if value is not None
+    }
+    for name, value in (scheme_params or {}).items():
+        changes[f"routing.{name}"] = value
+    if "mobility.trace_file" in changes:
+        model = changes.setdefault("mobility.model", "trace-file")
+        if model != "trace-file":
+            raise ValueError(
+                f"cannot combine a trace file with mobility model {model!r}; "
+                "a trace file implies the trace-file model"
+            )
     if scale is not None:
         config = config.scaled(scale)
-    if num_channels is not None or sf_policy is not None:
-        config = config.with_radio(num_channels=num_channels, sf_policy=sf_policy)
-    if mobility is not None or mobility_nodes is not None or trace_file is not None:
-        config = config.with_mobility(
-            model=mobility, num_nodes=mobility_nodes, trace_file=trace_file
-        )
-    if scheme_params:
-        config = config.with_routing(**dict(scheme_params))
-    if buffer is not None or buffer_capacity is not None or buffer_ttl_s is not None:
-        config = config.with_buffer(
-            policy=buffer, capacity=buffer_capacity, ttl_s=buffer_ttl_s
-        )
-    if engine is not None or engine_tick_s is not None:
-        config = config.with_engine(engine=engine, tick_s=engine_tick_s)
-    fields: Dict[str, Any] = {}
-    if scheme is not None:
-        fields["scheme"] = scheme
-    if device_class is not None:
-        fields["device_class"] = device_class
-    if num_gateways is not None:
-        fields["num_gateways"] = num_gateways
-    if device_range_m is not None:
-        fields["device_range_m"] = device_range_m
-    if gateway_placement is not None:
-        fields["gateway_placement"] = gateway_placement
-    if num_routes is not None:
-        fields["num_routes"] = num_routes
-    if trips_per_route is not None:
-        fields["trips_per_route"] = trips_per_route
-    if duration_s is not None:
-        fields["duration_s"] = duration_s
-    if seed is not None:
-        fields["seed"] = seed
-    return replace(config, **fields) if fields else config
+    return replace_fields(config, changes)
 
 
 def resolve_scenario(target: str) -> ScenarioConfig:
@@ -692,19 +690,20 @@ GridKey = Tuple[Any, ...]
 class SweepAxis:
     """One dimension of a grid sweep.
 
-    ``column`` names the axis in the artifact rows, ``apply`` sets one value
-    on a configuration and ``label`` formats the value for the printed
-    variant key.  ``values`` is a tuple, or the name of the
-    :class:`ReproductionScale` field that holds them (``"schemes"``,
+    ``column`` names the axis in the artifact rows, ``field`` is the dotted
+    configuration path its values set (see
+    :func:`~repro.config_fields.replace_fields`) and ``label`` formats the
+    value for the printed variant key.  ``values`` is a tuple, or the name
+    of the :class:`ReproductionScale` field that holds them (``"schemes"``,
     ``"gateway_counts"``).
 
-    An axis whose column is ``num_gateways`` is the paper's x-axis: a value
+    An axis over the ``num_gateways`` field is the paper's x-axis: a value
     ``n`` deploys ``max(1, round(n × spatial_scale))`` gateways and labels
     the run with the nominal ``n`` (``RunSpec.nominal_gateways``).
     """
 
     column: str
-    apply: Callable[[ScenarioConfig, Any], ScenarioConfig]
+    field: str
     values: Union[Tuple[Any, ...], str] = "schemes"
     label: str = "{}"
 
@@ -845,13 +844,14 @@ def grid_points(grid: SweepGrid, scale: ReproductionScale) -> List[Tuple[GridKey
         ),
         scale,
     )
+    paths = [axis.field for axis in grid.axes]
     points = []
     for key in product(*(axis.values_at(scale) for axis in grid.axes)):
-        config, nominal = base, None
-        for axis, value in zip(grid.axes, key):
-            if axis.column == "num_gateways":
-                nominal, value = value, _deployed_gateways(value, scale)
-            config = axis.apply(config, value)
+        changes = dict(zip(paths, key))
+        nominal = changes.get("num_gateways")
+        if nominal is not None:
+            changes["num_gateways"] = _deployed_gateways(nominal, scale)
+        config = replace_fields(base, changes)
         points.append((key, RunSpec(config=config, nominal_gateways=nominal)))
     return points
 
@@ -888,12 +888,12 @@ def _register_grid(name: str, description: str, grid: SweepGrid, figure: str = "
     ))
 
 
-_SCHEMES = SweepAxis("scheme", ScenarioConfig.with_scheme)
-_GATEWAYS = SweepAxis("num_gateways", ScenarioConfig.with_gateways, values="gateway_counts")
+_SCHEMES = SweepAxis("scheme", "scheme")
+_GATEWAYS = SweepAxis("num_gateways", "num_gateways", values="gateway_counts")
 
 
 def _device_ranges(*ranges_m: float) -> SweepAxis:
-    return SweepAxis("device_range_m", ScenarioConfig.with_device_range, values=ranges_m)
+    return SweepAxis("device_range_m", "device_range_m", values=ranges_m)
 
 
 def _register_density_figure(
@@ -962,13 +962,7 @@ _register_grid(
     SweepGrid(
         title="α ablation — EWMA weight of Eq. (4), RCA-ETX",
         fixed=lambda config, scale: config.with_scheme("rca-etx"),
-        axes=(SweepAxis(
-            "alpha",
-            lambda config, alpha: replace(
-                config, device=replace(config.device, ewma_alpha=alpha)
-            ),
-            values=(0.1, 0.3, 0.5, 0.7, 0.9),
-        ),),
+        axes=(SweepAxis("alpha", "device.ewma_alpha", values=(0.1, 0.3, 0.5, 0.7, 0.9)),),
     ),
     figure="α ablation",
 )
@@ -980,7 +974,7 @@ _register_grid(
         fixed=lambda config, scale: config.with_scheme("robc"),
         axes=(SweepAxis(
             "device_class",
-            lambda config, device_class: replace(config, device_class=device_class),
+            "device_class",
             values=("modified-class-c", "queue-based-class-a"),
         ),),
     ),
@@ -992,11 +986,7 @@ _register_grid(
     SweepGrid(
         title="Placement ablation — grid vs uniform-random gateways",
         axes=(
-            SweepAxis(
-                "gateway_placement",
-                lambda config, placement: replace(config, gateway_placement=placement),
-                values=("grid", "random"),
-            ),
+            SweepAxis("gateway_placement", "gateway_placement", values=("grid", "random")),
             _SCHEMES,
         ),
     ),
@@ -1020,7 +1010,7 @@ _register_grid(
         axes=(
             SweepAxis(
                 "mobility_model",
-                lambda config, model: config.with_mobility(model=model),
+                "mobility.model",
                 values=("london-bus", "random-waypoint", "grid-manhattan"),
             ),
             _SCHEMES,
@@ -1041,17 +1031,14 @@ _register_grid(
     SweepGrid(
         title="Routing sweep — scheme × buffer policy × capacity",
         axes=(
-            SweepAxis("scheme", ScenarioConfig.with_scheme, values=("robc", "prophet")),
+            SweepAxis("scheme", "scheme", values=("robc", "prophet")),
             SweepAxis(
                 "buffer_policy",
-                lambda config, policy: config.with_buffer(policy=policy),
+                "routing.buffer.policy",
                 values=("drop-new", "drop-oldest", "priority-age"),
             ),
             SweepAxis(
-                "buffer_capacity",
-                lambda config, capacity: config.with_buffer(capacity=capacity),
-                values=(8, 64),
-                label="cap{}",
+                "buffer_capacity", "routing.buffer.capacity", values=(8, 64), label="cap{}"
             ),
         ),
         printed=_ABLATION_METRICS
@@ -1069,14 +1056,11 @@ _register_grid(
     ),
     SweepGrid(
         title="Multi-SF radio sweep — uplink channels × scheme, distance-based SFs",
-        fixed=lambda config, scale: config.with_radio(sf_policy="distance-based"),
+        fixed=lambda config, scale: replace_fields(
+            config, {"radio.sf_policy": "distance-based"}
+        ),
         axes=(
-            SweepAxis(
-                "num_channels",
-                lambda config, channels: config.with_radio(num_channels=channels),
-                values=(1, 3, 8),
-                label="{}ch",
-            ),
+            SweepAxis("num_channels", "radio.num_channels", values=(1, 3, 8), label="{}ch"),
             _SCHEMES,
         ),
     ),

@@ -100,14 +100,18 @@ def format_run_summary(title: str, metrics: RunMetrics) -> str:
     return f"{title}\n" + format_table(("metric", "value"), rows)
 
 
-def _sanitize(value: Any) -> Any:
-    # JSON has no NaN/Infinity literal; null keeps artifacts loadable anywhere.
+def json_safe(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by ``None``, tuples as lists.
+
+    JSON has no NaN/Infinity literal; null keeps artifacts and service
+    payloads loadable anywhere.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, Mapping):
-        return {key: _sanitize(item) for key, item in value.items()}
+        return {key: json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_sanitize(item) for item in value]
+        return [json_safe(item) for item in value]
     return value
 
 
@@ -115,7 +119,7 @@ def write_json(data: Any, path: Union[str, Path]) -> Path:
     """Write any JSON-ready structure, mapping non-finite floats to null."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_sanitize(data), indent=2, allow_nan=False)
+    text = json.dumps(json_safe(data), indent=2, allow_nan=False)
     target.write_text(text + "\n", encoding="utf-8")
     return target
 

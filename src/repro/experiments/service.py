@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.analysis.metrics import RunMetrics
 from repro.experiments.parallel import RunSpec, SweepExecutor, spec_from_dict
-from repro.experiments.reporting import metrics_to_dict
+from repro.experiments.reporting import json_safe, metrics_to_dict
 from repro.experiments.serialization import scenario_from_dict
 
 #: Job lifecycle states.
@@ -56,21 +55,10 @@ class ServiceError(Exception):
         self.status = status
 
 
-def _sanitize(value: Any) -> Any:
-    # JSON has no NaN/Infinity literal; null keeps payloads parseable anywhere.
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, Mapping):
-        return {key: _sanitize(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(item) for item in value]
-    return value
-
-
 def _metrics_payload(metrics: RunMetrics) -> Dict[str, Any]:
     # Scalar summary only: the per-delivery arrays of a large run would turn
     # every poll into a megabyte download; `repro run --out` exports those.
-    return _sanitize(metrics_to_dict(metrics, include_arrays=False))
+    return metrics_to_dict(metrics, include_arrays=False)
 
 
 @dataclass
@@ -194,7 +182,9 @@ class CampaignService:
             status, payload = exc.status, {"error": str(exc)}
         except Exception as exc:  # malformed request, client disconnect, …
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        body = json.dumps(_sanitize(payload)).encode("utf-8")
+        # The one JSON boundary: non-finite floats (a run with no deliveries
+        # has a NaN mean delay) become null here, for every route.
+        body = json.dumps(json_safe(payload)).encode("utf-8")
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 500: "Internal Server Error"}
         head = (
@@ -349,11 +339,3 @@ class CampaignService:
             message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
             raise ServiceError(400, f"bad run request: {message}")
 
-
-def serve_forever(
-    executor: SweepExecutor, host: str = "127.0.0.1", port: int = 8765
-) -> CampaignService:
-    """Build a service and block serving it (the ``repro serve`` entry)."""
-    service = CampaignService(executor, host=host, port=port)
-    service.run_blocking()
-    return service

@@ -55,6 +55,8 @@ class DeviceConfig:
             raise ValueError("max_queue_size must be positive")
         if not 0 < self.duty_cycle <= 1:
             raise ValueError("duty_cycle must be in (0, 1]")
+        if not 0 < self.ewma_alpha <= 1:
+            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
 
 
 @dataclass
@@ -155,10 +157,6 @@ class EndDevice:
     def can_transmit(self, now: float) -> bool:
         """True when the duty cycle allows a transmission on this device's channel."""
         return self.duty_cycle.can_transmit(now, self.channel)
-
-    def transmission_wait(self, now: float) -> float:
-        """Seconds until the duty cycle next allows a transmission."""
-        return self.duty_cycle.wait_time(now, self.channel)
 
     @property
     def next_transmission_time(self) -> float:

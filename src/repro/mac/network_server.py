@@ -11,7 +11,7 @@ accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.mac.frames import Acknowledgement, UplinkPacket
 
@@ -109,7 +109,3 @@ class NetworkServer:
     def hop_counts(self) -> List[int]:
         """Delivery hop counts of all delivered messages."""
         return [record.delivery_hop_count for record in self._deliveries.values()]
-
-    def delivery_times(self) -> List[Tuple[float, int]]:
-        """(delivery time, 1) pairs, convenient for time-series binning."""
-        return [(record.delivered_at, 1) for record in self._deliveries.values()]

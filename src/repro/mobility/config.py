@@ -13,7 +13,7 @@ opened by naming a different model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.config_fields import normalize_numbers
@@ -85,15 +85,3 @@ class MobilityConfig:
     def is_default(self) -> bool:
         """True for the paper's London bus-network configuration."""
         return self == MobilityConfig()
-
-    def with_model(self, model: str) -> "MobilityConfig":
-        """A copy running a different mobility model."""
-        return replace(self, model=model)
-
-    def with_num_nodes(self, num_nodes: int) -> "MobilityConfig":
-        """A copy with an explicit synthetic fleet size."""
-        return replace(self, num_nodes=num_nodes)
-
-    def with_trace_file(self, trace_file: str) -> "MobilityConfig":
-        """A copy replaying the given CSV trace file."""
-        return replace(self, model="trace-file", trace_file=trace_file)

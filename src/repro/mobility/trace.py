@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -230,12 +230,6 @@ class MobilityTrace:
         if span <= 0:
             return 0.0
         return self.total_distance() / span
-
-
-def merge_active_intervals(traces: Iterable[MobilityTrace]) -> List[tuple]:
-    """Return the ``(start, end)`` active interval of each trace (sorted by start)."""
-    intervals = [(t.start_time, t.end_time) for t in traces]
-    return sorted(intervals)
 
 
 def active_count_at(traces: Sequence[MobilityTrace], time: float) -> int:

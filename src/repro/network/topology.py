@@ -136,13 +136,6 @@ class TimeVaryingTopology:
             raise KeyError(f"unknown device {device_id!r}")
         return device.position_at(time)
 
-    def sink_position(self, sink_id: str) -> Point:
-        """Position of the gateway ``sink_id``."""
-        sink = self.sinks.get(sink_id)
-        if sink is None:
-            raise KeyError(f"unknown sink {sink_id!r}")
-        return sink.position
-
     def active_devices(self, time: float) -> List[str]:
         """Identifiers of devices that are on the road at ``time``."""
         return [d.node_id for d in self.devices.values() if d.is_active(time)]

@@ -13,7 +13,7 @@ multi-spreading-factor deployments — the standard LoRaWAN shape, cf. the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.config_fields import normalize_numbers
@@ -64,11 +64,3 @@ class RadioConfig:
     def is_default(self) -> bool:
         """True for the paper's single-channel fixed-SF7 configuration."""
         return self == RadioConfig()
-
-    def with_channels(self, num_channels: int) -> "RadioConfig":
-        """A copy with a different uplink channel count."""
-        return replace(self, num_channels=num_channels)
-
-    def with_sf_policy(self, sf_policy: str) -> "RadioConfig":
-        """A copy with a different spreading-factor allocation policy."""
-        return replace(self, sf_policy=sf_policy)

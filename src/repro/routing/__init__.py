@@ -10,9 +10,9 @@ delivery-predictability forwarding — are included as extensions for
 comparison studies.
 
 Schemes are parameterized by :class:`~repro.routing.config.RoutingConfig`
-(a frozen section of every ``ScenarioConfig``) and built through the factory
-registry in :mod:`repro.routing.registry`; ``make_scheme`` survives as the
-constructor-kwargs convenience for direct/legacy use.
+(a frozen section of every ``ScenarioConfig``) and built by name through the
+factory registry in :mod:`repro.routing.registry` (:func:`build_scheme`,
+:func:`scheme_names`).
 """
 
 from repro.routing.base import ForwardingDecision, ForwardingScheme
@@ -30,35 +30,6 @@ from repro.routing.registry import (
 from repro.routing.robc_scheme import ROBCScheme
 from repro.routing.spray_and_wait import SprayAndWaitScheme
 
-SCHEME_REGISTRY = {
-    scheme_class.name: scheme_class
-    for scheme_class in (
-        NoRoutingScheme,
-        RCAETXScheme,
-        ROBCScheme,
-        EpidemicScheme,
-        SprayAndWaitScheme,
-        ProphetScheme,
-    )
-}
-
-
-def make_scheme(name: str, **kwargs) -> ForwardingScheme:
-    """Instantiate a forwarding scheme by name with constructor kwargs.
-
-    Prefer :func:`~repro.routing.registry.build_scheme` with a
-    :class:`RoutingConfig` for configuration-driven construction; this helper
-    serves direct experimentation and name validation.
-    """
-    try:
-        scheme_class = SCHEME_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; available: {sorted(SCHEME_REGISTRY)}"
-        ) from None
-    return scheme_class(**kwargs)
-
-
 __all__ = [
     "BUFFER_POLICIES",
     "BufferConfig",
@@ -72,9 +43,7 @@ __all__ = [
     "RoutingConfig",
     "SchemeFactory",
     "SprayAndWaitScheme",
-    "SCHEME_REGISTRY",
     "build_scheme",
-    "make_scheme",
     "register_scheme_factory",
     "scheme_names",
 ]

@@ -21,8 +21,8 @@ builds the scheme object from the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.config_fields import normalize_numbers
 
@@ -139,34 +139,3 @@ class RoutingConfig:
     def is_default(self) -> bool:
         """True for the pre-refactor hardcoded routing parameters."""
         return self == RoutingConfig()
-
-    def with_buffer(
-        self,
-        policy: Optional[str] = None,
-        capacity: Optional[int] = None,
-        ttl_s: Optional[float] = None,
-    ) -> "RoutingConfig":
-        """A copy with a different buffer-management section."""
-        buffer = self.buffer
-        fields = {}
-        if policy is not None:
-            fields["policy"] = policy
-        if capacity is not None:
-            fields["capacity"] = capacity
-        if ttl_s is not None:
-            fields["ttl_s"] = ttl_s
-        return replace(self, buffer=replace(buffer, **fields)) if fields else self
-
-    def with_params(self, **params) -> "RoutingConfig":
-        """A copy with different scheme parameters (keyword per field)."""
-        if "buffer" in params:
-            raise ValueError("use with_buffer() for the buffer section")
-        unknown = set(params) - {
-            name for name in self.__dataclass_fields__ if name != "buffer"
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown routing parameter(s) {sorted(unknown)}; available: "
-                f"{sorted(f for f in self.__dataclass_fields__ if f != 'buffer')}"
-            )
-        return replace(self, **params) if params else self

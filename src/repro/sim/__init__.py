@@ -3,9 +3,8 @@
 This package provides the minimal but complete discrete-event machinery the
 rest of the library is built on: a simulation clock and event heap
 (:mod:`repro.sim.events`), generator-based processes
-(:mod:`repro.sim.kernel`), named deterministic random streams
-(:mod:`repro.sim.randomness`) and light-weight statistics probes
-(:mod:`repro.sim.monitor`).
+(:mod:`repro.sim.kernel`) and named deterministic random streams
+(:mod:`repro.sim.randomness`).
 
 The kernel intentionally mirrors the small subset of SimPy semantics used by
 LoRa simulators (timeouts, process scheduling, interrupt-free waits) so the
@@ -15,7 +14,6 @@ dependency surface to the standard library plus NumPy.
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Process, Simulator, Timeout
-from repro.sim.monitor import CounterProbe, SeriesProbe, TallyProbe
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
@@ -24,8 +22,5 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
-    "CounterProbe",
-    "SeriesProbe",
-    "TallyProbe",
     "RandomStreams",
 ]

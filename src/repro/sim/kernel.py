@@ -10,7 +10,7 @@ SimPy, which keeps protocol state machines readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import Event, EventQueue
 
@@ -75,7 +75,6 @@ class Simulator:
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
-        self._processes: List[Process] = []
         self._running = False
 
     @property
@@ -113,10 +112,8 @@ class Simulator:
         return self.schedule(self._now + delay, callback, payload, priority)
 
     def process(self, generator: Generator, name: str = "", delay: float = 0.0) -> Process:
-        """Register and start a generator-based :class:`Process`."""
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc.start(delay)
+        """Start a generator-based :class:`Process`."""
+        return Process(self, generator, name=name).start(delay)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the event loop.
@@ -160,11 +157,6 @@ class Simulator:
         finally:
             self._running = False
         return fired
-
-    def stop_all_processes(self) -> None:
-        """Stop every registered process (used for clean teardown)."""
-        for proc in self._processes:
-            proc.stop()
 
     def drain(self) -> None:
         """Drop all pending events without firing them."""

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.engine import ENGINE_ENV_VAR, ENGINES, EngineConfig, resolve_engine_name
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import config_digest
@@ -37,10 +38,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="tick_s"):
             EngineConfig(tick_s=tick_s)
 
-    def test_with_engine_helper_composes(self):
-        config = ScenarioConfig().with_engine("array", tick_s=7.0)
+    def test_engine_fields_compose(self):
+        config = replace_fields(
+            ScenarioConfig(), {"engine.engine": "array", "engine.tick_s": 7.0}
+        )
         assert config.engine == EngineConfig(engine="array", tick_s=7.0)
-        assert config.with_engine(tick_s=5.0).engine == EngineConfig("array", 5.0)
+        assert replace_fields(config, {"engine.tick_s": 5.0}).engine == EngineConfig("array", 5.0)
 
 
 class TestDigestTransparency:
@@ -53,22 +56,22 @@ class TestDigestTransparency:
         base = ScenarioConfig()
         digests = {
             config_digest(base),
-            config_digest(base.with_engine("array")),
-            config_digest(base.with_engine(tick_s=5.0)),
-            config_digest(base.with_engine("array", tick_s=7.0)),
+            config_digest(replace_fields(base, {"engine.engine": "array"})),
+            config_digest(replace_fields(base, {"engine.tick_s": 5.0})),
+            config_digest(ScenarioConfig(engine=EngineConfig("array", tick_s=7.0))),
         }
         assert digests == {config_digest(base)}
 
 
 class TestSerialization:
     def test_engine_section_round_trips(self):
-        config = ScenarioConfig().with_engine("array", tick_s=7.5)
+        config = ScenarioConfig(engine=EngineConfig("array", tick_s=7.5))
         assert scenario_from_json(scenario_to_json(config)) == config
         assert scenario_from_toml(scenario_to_toml(config)) == config
 
     @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
     def test_non_finite_tick_in_file_is_rejected(self, literal):
-        text = scenario_to_json(ScenarioConfig().with_engine(tick_s=7.5))
+        text = scenario_to_json(ScenarioConfig(engine=EngineConfig(tick_s=7.5)))
         text = text.replace("7.5", literal)
         with pytest.raises(ValueError, match="tick_s"):
             scenario_from_json(text)
@@ -88,7 +91,7 @@ class TestResolution:
         monkeypatch.setenv(ENGINE_ENV_VAR, "array")
         assert resolve_engine_name(ScenarioConfig()) == "array"
         # An explicit choice (e.g. the megacity-10k preset) beats the env.
-        pinned = ScenarioConfig().with_engine("array").with_engine(tick_s=5.0)
+        pinned = ScenarioConfig(engine=EngineConfig("array", tick_s=5.0))
         monkeypatch.setenv(ENGINE_ENV_VAR, "object")
         assert resolve_engine_name(pinned) == "array"
 

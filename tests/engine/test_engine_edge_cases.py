@@ -11,14 +11,13 @@ are assembled by hand through the ``manual_scenario`` factory.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.engine.array_engine import ArrayMLoRaSimulation
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import MLoRaSimulation
-from repro.mac.device import DeviceConfig
 from repro.mobility.geometry import Point
 
 
@@ -72,10 +71,10 @@ class TestDutyCycleAtTickBoundary:
         # attempt exactly on an array-prefilter tick boundary, and the ~6 s
         # duty-cycle off-time after each frame means many of those attempts
         # are denied at the boundary and rescheduled mid-tick.
-        config = replace(
+        config = replace_fields(
             _config(duration_s=300.0),
-            device=DeviceConfig(message_interval_s=5.0),
-        ).with_engine(tick_s=5.0)
+            {"device.message_interval_s": 5.0, "engine.tick_s": 5.0},
+        )
         devices = {"bus-000": Point(0.0, 0.0)}
         gateways = {"gw-000": Point(50.0, 0.0)}
         object_sim, array_sim = _run_pair(manual_scenario, config, devices, gateways)

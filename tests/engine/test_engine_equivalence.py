@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config_fields import replace_fields
 from repro.engine.array_engine import ArrayMLoRaSimulation
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.registry import apply_overrides, get_preset
@@ -86,23 +87,30 @@ STRESS_CASES = {
     "epidemic": BASE.with_scheme("epidemic"),
     "spray-and-wait": BASE.with_scheme("spray-and-wait"),
     "prophet": BASE.with_scheme("prophet"),
-    "multichannel": BASE.with_scheme("robc").with_radio(num_channels=3),
-    "random-sf": BASE.with_scheme("robc").with_radio(num_channels=8, sf_policy="random"),
-    "distance-sf": BASE.with_radio(sf_policy="distance-based"),
+    "multichannel": replace_fields(BASE, {"scheme": "robc", "radio.num_channels": 3}),
+    "random-sf": replace_fields(
+        BASE, {"scheme": "robc", "radio.num_channels": 8, "radio.sf_policy": "random"}
+    ),
+    "distance-sf": replace_fields(BASE, {"radio.sf_policy": "distance-based"}),
     "class-a": replace(BASE, device_class="class-a"),
     "queue-class-a": replace(BASE, device_class="queue-based-class-a"),
     "shadowing": replace(BASE, shadowing=True),
     "shadowing-robc": replace(BASE.with_scheme("robc"), shadowing=True),
-    "rwp": BASE.with_mobility("random-waypoint", num_nodes=8),
-    "manhattan": BASE.with_mobility("grid-manhattan", num_nodes=8),
-    "buffer-drop-oldest": BASE.with_scheme("robc").with_buffer(
-        policy="drop-oldest", capacity=4
+    "rwp": replace_fields(BASE, {"mobility.model": "random-waypoint", "mobility.num_nodes": 8}),
+    "manhattan": replace_fields(
+        BASE, {"mobility.model": "grid-manhattan", "mobility.num_nodes": 8}
     ),
-    "buffer-ttl": BASE.with_buffer(policy="ttl-expiry", ttl_s=300.0),
-    "buffer-priority": BASE.with_scheme("epidemic").with_buffer(
-        policy="priority-age", capacity=8
+    "buffer-drop-oldest": replace_fields(BASE, {
+        "scheme": "robc", "routing.buffer.policy": "drop-oldest", "routing.buffer.capacity": 4,
+    }),
+    "buffer-ttl": replace_fields(
+        BASE, {"routing.buffer.policy": "ttl-expiry", "routing.buffer.ttl_s": 300.0}
     ),
-    "tick-7s": BASE.with_scheme("robc").with_engine(tick_s=7.0),
+    "buffer-priority": replace_fields(BASE, {
+        "scheme": "epidemic", "routing.buffer.policy": "priority-age",
+        "routing.buffer.capacity": 8,
+    }),
+    "tick-7s": replace_fields(BASE, {"scheme": "robc", "engine.tick_s": 7.0}),
 }
 
 
@@ -148,16 +156,17 @@ def scenario_configs(draw) -> ScenarioConfig:
             max_retransmissions=draw(st.sampled_from([0, 1, 8])),
         ),
     )
-    config = config.with_radio(
-        num_channels=draw(st.sampled_from([1, 3])),
-        sf_policy=draw(st.sampled_from(["fixed-sf7", "random", "distance-based"])),
-    )
+    changes = {
+        "radio.num_channels": draw(st.sampled_from([1, 3])),
+        "radio.sf_policy": draw(st.sampled_from(["fixed-sf7", "random", "distance-based"])),
+        "engine.tick_s": float(draw(st.sampled_from([7, 30, 120]))),
+    }
     policy = draw(st.sampled_from(["drop-new", "drop-oldest", "ttl-expiry"]))
     if policy == "ttl-expiry":
-        config = config.with_buffer(policy=policy, ttl_s=300.0)
+        changes.update({"routing.buffer.policy": policy, "routing.buffer.ttl_s": 300.0})
     elif policy != "drop-new":
-        config = config.with_buffer(policy=policy, capacity=8)
-    return config.with_engine(tick_s=float(draw(st.sampled_from([7, 30, 120]))))
+        changes.update({"routing.buffer.policy": policy, "routing.buffer.capacity": 8})
+    return replace_fields(config, changes)
 
 
 class TestHypothesisDifferential:
@@ -180,7 +189,7 @@ def preset_golden_config(name: str) -> ScenarioConfig:
     a 900 s horizon, density-preserving spatial scale."""
     config = get_preset(name).config
     config = config.scaled(min(1.0, 3.0 / config.num_routes))
-    return replace(config, duration_s=900.0).with_engine("array")
+    return replace_fields(config, {"duration_s": 900.0, "engine.engine": "array"})
 
 
 #: Array-engine RunMetrics fingerprints for every pre-existing preset,

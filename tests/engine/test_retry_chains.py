@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.engine.array_engine import ArrayMLoRaSimulation
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import MLoRaSimulation
@@ -177,7 +178,7 @@ class TestCandidateTick:
     def test_chain_stops_at_candidate_tick(self, manual_scenario, closest_m):
         # 1500 m stays outside the exact 1 km range (a margin false
         # positive); 900 m connects and delivers.
-        config = _config(duration_s=600.0).with_engine(tick_s=5.0)
+        config = replace_fields(_config(duration_s=600.0), {"engine.tick_s": 5.0})
         sim = _assert_engines_agree(
             manual_scenario,
             config,
@@ -203,8 +204,9 @@ class _ObservingScheme(NoRoutingScheme):
 
 class TestFallbacks:
     def test_ttl_expiry_buffer_takes_the_heap_path(self, manual_scenario):
-        config = _config(message_interval_s=60.0).with_buffer(
-            policy="ttl-expiry", ttl_s=100.0
+        config = replace_fields(
+            _config(message_interval_s=60.0),
+            {"routing.buffer.policy": "ttl-expiry", "routing.buffer.ttl_s": 100.0},
         )
         _assert_engines_agree(manual_scenario, config, chain=False)
 
@@ -239,7 +241,7 @@ class TestCrossDeviceTie:
         # of the two reception draws is the order of the two retries, which
         # the oracle fixes when the first completions pop.  A chain started
         # at t=0 would push bus-001's retry ahead of bus-000's.
-        config = replace(_config(duration_s=300.0), seed=26).with_engine(tick_s=5.0)
+        config = replace_fields(_config(duration_s=300.0), {"seed": 26, "engine.tick_s": 5.0})
         mover = MobilityTrace.from_samples(
             [0.0, 4.0, 300.0],
             [55_000.0, 50_950.0, 50_950.0],

@@ -15,12 +15,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.engine import ENGINE_ENV_VAR
-from repro.experiments.cli import build_executor, main, run_sweep, run_target
+from repro.experiments.cli import (
+    _overrides_from,
+    build_executor,
+    build_parser,
+    main,
+    run_sweep,
+    run_target,
+)
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import SMOKE_SCALE
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
-from repro.experiments.registry import get_preset
+from repro.experiments.registry import OVERRIDE_PATHS, apply_overrides, get_preset
 from repro.experiments.runner import run_scenario
 from repro.experiments.serialization import load_scenario
 
@@ -86,7 +94,7 @@ class TestEquivalence:
         config = get_preset("urban-smoke").config
         outcome = run_target("urban-smoke", engine="array")
         assert outcome.spec.config.engine.engine == "array"
-        assert outcome.metrics == run_scenario(config.with_engine("array"))
+        assert outcome.metrics == run_scenario(replace_fields(config, {"engine.engine": "array"}))
         # The array engine is bit-identical to the object oracle, so the
         # override changes the execution path, never the results.
         assert outcome.metrics == run_scenario(config)
@@ -238,6 +246,65 @@ class TestSmoke:
         assert "out of date" in capsys.readouterr().err
         assert main(["docs", "--write", "--path", str(stale)]) == 0
         assert main(["docs", "--path", str(stale)]) == 0
+
+
+#: One ``repro run`` override flag per case: its argv, the field path it
+#: sets and the value it lands as.
+FLAG_CASES = [
+    (["--scheme", "robc"], "scheme", "robc"),
+    (["--device-class", "queue-based-class-a"], "device_class", "queue-based-class-a"),
+    (["--gateways", "7"], "num_gateways", 7),
+    (["--range", "750"], "device_range_m", 750.0),
+    (["--placement", "random"], "gateway_placement", "random"),
+    (["--routes", "9"], "num_routes", 9),
+    (["--trips", "3"], "trips_per_route", 3),
+    (["--duration", "1200"], "duration_s", 1200.0),
+    (["--seed", "42"], "seed", 42),
+    (["--channels", "3"], "radio.num_channels", 3),
+    (["--sf-policy", "random"], "radio.sf_policy", "random"),
+    (["--mobility", "random-waypoint"], "mobility.model", "random-waypoint"),
+    (["--mobility-nodes", "17"], "mobility.num_nodes", 17),
+    (["--trace-file", "t.csv"], "mobility.trace_file", "t.csv"),
+    (["--scheme-param", "spray_initial_copies=8"], "routing.spray_initial_copies", 8),
+    (["--scheme-param", "prophet-beta=0.5"], "routing.prophet_beta", 0.5),
+    (["--buffer", "drop-oldest"], "routing.buffer.policy", "drop-oldest"),
+    (["--buffer-capacity", "8"], "routing.buffer.capacity", 8),
+    (["--buffer", "ttl-expiry", "--buffer-ttl", "600"], "routing.buffer.ttl_s", 600.0),
+    (["--engine", "array"], "engine.engine", "array"),
+    (["--engine-tick", "7"], "engine.tick_s", 7.0),
+]
+
+
+def _field(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
+
+
+class TestOverrideFlags:
+    """Each ``repro run`` override flag sets exactly its field path."""
+
+    @pytest.mark.parametrize(
+        "argv, path, value", FLAG_CASES, ids=[" ".join(argv) for argv, _, _ in FLAG_CASES]
+    )
+    def test_flag_sets_its_field_path(self, argv, path, value):
+        base = get_preset("urban-smoke").config
+        args = build_parser().parse_args(["run", "urban-smoke", *argv])
+        config = apply_overrides(base, **_overrides_from(args))
+        assert _field(config, path) == value
+        assert type(_field(config, path)) is type(value)
+        implied = {"mobility.model": "trace-file"} if path == "mobility.trace_file" else {}
+        if path == "routing.buffer.ttl_s":
+            implied = {"routing.buffer.policy": "ttl-expiry"}
+        assert config == replace_fields(base, {path: value, **implied})
+
+    def test_every_override_keyword_has_a_flag_case(self):
+        paths = {path for _, path, _ in FLAG_CASES}
+        assert set(OVERRIDE_PATHS.values()) <= paths
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="num_channel"):
+            apply_overrides(get_preset("urban-smoke").config, num_channel=3)
 
 
 # --------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.config_fields import field_table, replace_fields
 from repro.engine.config import EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, config_digest
@@ -103,6 +104,18 @@ SECTION_NUMBERS = [
 ]
 
 
+def _sections(cls=ScenarioConfig):
+    yield cls
+    for section in field_table(cls).sections.values():
+        yield from _sections(section)
+
+
+#: (section class, float field) for every float field of every section.
+FLOAT_SECTION_FIELDS = [
+    (cls, name) for cls in _sections() for name in field_table(cls).floats
+]
+
+
 class TestNumericFieldTypes:
     """The Python API types numbers the way scenario files already do."""
 
@@ -114,7 +127,7 @@ class TestNumericFieldTypes:
         assert RunSpec(config=as_int).cache_key() == RunSpec(config=as_float).cache_key()
 
     def test_helpers_promote_ints_too(self):
-        config = ScenarioConfig().with_device_range(1000).with_engine(tick_s=60)
+        config = replace_fields(ScenarioConfig().with_device_range(1000), {"engine.tick_s": 60})
         assert type(config.device_range_m) is float
         assert type(config.engine.tick_s) is float
         assert config_digest(config) == config_digest(
@@ -150,6 +163,23 @@ class TestNumericFieldTypes:
             for bad in (True, float(value)):
                 with pytest.raises(ValueError, match=f"{int_field} must be an integer"):
                     cls(**{int_field: bad})
+
+    @pytest.mark.parametrize(
+        "cls, name", FLOAT_SECTION_FIELDS,
+        ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_SECTION_FIELDS],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_field_rejects_non_finite_values(self, cls, name, value):
+        # NaN slips past every ``<=``/``<`` range check; one rule in the
+        # shared normaliser covers each section's float fields.
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, 5.0])
+    def test_ewma_alpha_outside_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="ewma_alpha"):
+            DeviceConfig(ewma_alpha=alpha)
+        assert DeviceConfig(ewma_alpha=1.0).ewma_alpha == 1.0
 
     def test_scenario_files_and_the_api_agree(self):
         from_file = scenario_from_dict({"duration_s": 1800, "routing": {"rgq_phi_max": 10}})

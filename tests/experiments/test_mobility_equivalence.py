@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
 from repro.experiments.runner import run_scenario
@@ -45,6 +46,11 @@ QUICKSTART_LIKE = ScenarioConfig(
     name="q", seed=42, duration_s=2 * 3600.0, area_km2=30.0, num_gateways=4,
     num_routes=6, trips_per_route=4, device_range_m=1000.0, scheme="robc",
 )
+
+
+def _replaying(path) -> ScenarioConfig:
+    """``SMALL`` replaying the CSV traces at ``path``."""
+    return replace_fields(SMALL, {"mobility.model": "trace-file", "mobility.trace_file": str(path)})
 
 
 def traces_fingerprint(traces) -> str:
@@ -82,11 +88,11 @@ class TestDigestStability:
     def test_non_default_mobility_changes_the_digest(self):
         digests = {
             config_digest(SMALL),
-            config_digest(SMALL.with_mobility(model="random-waypoint")),
-            config_digest(SMALL.with_mobility(model="grid-manhattan")),
-            config_digest(
-                SMALL.with_mobility(model="random-waypoint", num_nodes=16)
-            ),
+            config_digest(replace_fields(SMALL, {"mobility.model": "random-waypoint"})),
+            config_digest(replace_fields(SMALL, {"mobility.model": "grid-manhattan"})),
+            config_digest(replace_fields(
+                SMALL, {"mobility.model": "random-waypoint", "mobility.num_nodes": 16}
+            )),
         }
         assert len(digests) == 4
 
@@ -98,7 +104,7 @@ class TestDigestStability:
             "node_id,time_s,x_m,y_m\nn,0.0,0.0,0.0\nn,60.0,10.0,0.0\n",
             encoding="utf-8",
         )
-        config = SMALL.with_mobility(trace_file=str(path))
+        config = _replaying(path)
         before = config_digest(config)
         path.write_text(
             "node_id,time_s,x_m,y_m\nn,0.0,0.0,0.0\nn,60.0,999.0,0.0\n",
@@ -140,14 +146,14 @@ class TestAlternativeModels:
 
     @pytest.mark.parametrize("model", ["random-waypoint", "grid-manhattan"])
     def test_model_runs_and_diverges_from_london(self, model):
-        config = SMALL.with_scheme("robc").with_mobility(model=model)
+        config = replace_fields(SMALL, {"scheme": "robc", "mobility.model": model})
         metrics = run_scenario(config)
         assert metrics.messages_generated > 0
         built = build_scenario(config)
         assert traces_fingerprint(built.traces) != GOLDEN_TRACE_FINGERPRINTS["small"]
 
     def test_models_are_seed_deterministic(self):
-        config = SMALL.with_scheme("robc").with_mobility(model="random-waypoint")
+        config = replace_fields(SMALL, {"scheme": "robc", "mobility.model": "random-waypoint"})
         first = build_scenario(config)
         second = build_scenario(config)
         assert traces_fingerprint(first.traces) == traces_fingerprint(second.traces)
@@ -160,7 +166,7 @@ class TestAlternativeModels:
         recorded = build_scenario(SMALL).traces
         path = tmp_path / "recorded.csv"
         save_traces_csv(recorded, path)
-        replayed = build_scenario(SMALL.with_mobility(trace_file=str(path))).traces
+        replayed = build_scenario(_replaying(path)).traces
 
         def samples(traces):
             # Compare numeric values: the generator produces numpy scalars,
@@ -178,11 +184,15 @@ class TestAlternativeModels:
     def test_trace_file_with_synthetic_model_is_rejected(self):
         # --trace-file implies the trace-file model; silently dropping the
         # file under a synthetic model would be a lie.
+        from repro.experiments.registry import apply_overrides
+
         with pytest.raises(ValueError, match="cannot combine"):
-            SMALL.with_mobility(model="random-waypoint", trace_file="t.csv")
+            apply_overrides(SMALL, mobility="random-waypoint", trace_file="t.csv")
 
     def test_scaled_shrinks_an_explicit_synthetic_fleet(self):
-        config = SMALL.with_mobility(model="random-waypoint", num_nodes=500)
+        config = replace_fields(
+            SMALL, {"mobility.model": "random-waypoint", "mobility.num_nodes": 500}
+        )
         scaled = config.scaled(0.1)
         assert scaled.mobility.num_nodes == 50
         # The derived default (0 = follow the bus fleet) stays derived, so
@@ -209,7 +219,7 @@ class TestAlternativeModels:
         from repro.experiments.registry import get_preset
 
         expected = run_scenario(
-            get_preset("urban-smoke").config.with_mobility(model="grid-manhattan")
+            replace_fields(get_preset("urban-smoke").config, {"mobility.model": "grid-manhattan"})
         )
         assert outcome.metrics.messages_generated == expected.messages_generated
         assert outcome.metrics.messages_delivered == expected.messages_delivered

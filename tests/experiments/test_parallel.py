@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config_fields import config_to_dict
-from repro.engine import ENGINES
+from repro.config_fields import config_to_dict, replace_fields
+from repro.engine import ENGINES, EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     RunSpec,
@@ -34,7 +34,7 @@ from repro.experiments.figures import ReproductionScale
 from repro.experiments.registry import SweepAxis, SweepGrid, run_grid
 from repro.mac.device import DeviceConfig
 from repro.mobility.config import MobilityConfig
-from repro.radio.config import RadioConfig
+from repro.radio.config import SF_POLICIES, RadioConfig
 from repro.routing import scheme_names
 from repro.routing.config import BufferConfig, RoutingConfig
 
@@ -81,7 +81,7 @@ class TestSerialParallelEquivalence:
     def test_default_executor_matches_explicit_serial(self):
         grid = SweepGrid(
             title="one run",
-            axes=(SweepAxis("scheme", ScenarioConfig.with_scheme, values=("robc",)),),
+            axes=(SweepAxis("scheme", "scheme", values=("robc",)),),
         )
         scale = ReproductionScale(spatial_scale=0.02, duration_s=600.0)
         implicit = run_grid("one", grid, scale, None)
@@ -353,27 +353,29 @@ RESULT_AFFECTING = {
     "scheme": lambda c: c.with_scheme(_other(scheme_names(), c.scheme)),
     "num_gateways": lambda c: c.with_gateways(c.num_gateways + 1),
     "duration_s": lambda c: dataclasses.replace(c, duration_s=c.duration_s + 60.0),
-    "radio.num_channels": lambda c: c.with_radio(num_channels=c.radio.num_channels + 1),
-    "mobility.model": lambda c: c.with_mobility(model=_other(_MODELS, c.mobility.model)),
-    "routing.buffer.policy": lambda c: c.with_buffer(
-        policy=_other(_POLICIES, c.routing.buffer.policy)
+    "radio.num_channels": lambda c: replace_fields(
+        c, {"radio.num_channels": c.radio.num_channels + 1}
+    ),
+    "mobility.model": lambda c: replace_fields(
+        c, {"mobility.model": _other(_MODELS, c.mobility.model)}
+    ),
+    "routing.buffer.policy": lambda c: replace_fields(
+        c, {"routing.buffer.policy": _other(_POLICIES, c.routing.buffer.policy)}
     ),
 }
 
 
 @st.composite
 def scenario_configs(draw) -> ScenarioConfig:
-    return (
-        ScenarioConfig(
-            seed=draw(st.integers(0, 2**31)),
-            scheme=draw(st.sampled_from(scheme_names())),
-            num_gateways=draw(st.integers(1, 100)),
-            duration_s=float(draw(st.integers(60, 86_400))),
-        )
-        .with_radio(num_channels=draw(st.integers(1, 8)))
-        .with_mobility(model=draw(st.sampled_from(_MODELS)))
-        .with_buffer(policy=draw(st.sampled_from(_POLICIES)))
-        .with_engine(draw(st.sampled_from(ENGINES)), tick_s=draw(st.sampled_from(_TICKS)))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**31)),
+        scheme=draw(st.sampled_from(scheme_names())),
+        num_gateways=draw(st.integers(1, 100)),
+        duration_s=float(draw(st.integers(60, 86_400))),
+        radio=RadioConfig(num_channels=draw(st.integers(1, 8))),
+        mobility=MobilityConfig(model=draw(st.sampled_from(_MODELS))),
+        routing=RoutingConfig(buffer=BufferConfig(policy=draw(st.sampled_from(_POLICIES)))),
+        engine=EngineConfig(draw(st.sampled_from(ENGINES)), tick_s=draw(st.sampled_from(_TICKS))),
     )
 
 
@@ -385,7 +387,8 @@ class TestCacheKeyContract:
     @settings(max_examples=60, deadline=None)
     @given(scenario_configs(), st.sampled_from(ENGINES), st.sampled_from(_TICKS))
     def test_execution_knobs_leave_the_key_unchanged(self, config, engine, tick_s):
-        assert _key(config.with_engine(engine, tick_s=tick_s)) == _key(config)
+        changed = replace_fields(config, {"engine.engine": engine, "engine.tick_s": tick_s})
+        assert _key(changed) == _key(config)
 
     @settings(max_examples=60, deadline=None)
     @given(scenario_configs(), st.sampled_from(sorted(RESULT_AFFECTING)))
@@ -461,5 +464,104 @@ class TestFlattener:
     def test_trace_file_digest_matches_the_reference(self, tiny_config, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("node,t,x,y\n0,0.0,0.0,0.0\n")
-        config = tiny_config.with_mobility(trace_file=str(trace))
+        config = replace_fields(
+            tiny_config, {"mobility.model": "trace-file", "mobility.trace_file": str(trace)}
+        )
         assert config_digest(config) == reference_digest(config)
+
+
+# --------------------------------------------------------------------- #
+# Field-path replacement against the nested-replace reference
+# --------------------------------------------------------------------- #
+def reference_replace(config, changes):
+    """``replace_fields`` written as one nested ``dataclasses.replace`` per path."""
+
+    def replace_path(section, names, value):
+        head, *rest = names
+        if rest:
+            value = replace_path(getattr(section, head), rest, value)
+        return dataclasses.replace(section, **{head: value})
+
+    for path, value in changes.items():
+        config = replace_path(config, path.split("."), value)
+    return config
+
+
+#: Paths at every depth, several per section, each with values that are
+#: valid one at a time (so the one-path-at-a-time reference accepts them).
+_PATH_VALUES = {
+    "seed": st.integers(0, 2**31),
+    "scheme": st.sampled_from(scheme_names()),
+    "device_range_m": st.one_of(st.integers(1, 5000), st.floats(1.0, 5000.0)),
+    "device.ewma_alpha": st.floats(0.05, 1.0),
+    "device.max_queue_size": st.integers(1, 128),
+    "radio.num_channels": st.integers(1, 8),
+    "radio.sf_policy": st.sampled_from(SF_POLICIES),
+    "mobility.model": st.sampled_from(_MODELS),
+    "mobility.num_nodes": st.integers(0, 500),
+    "routing.max_handover_messages": st.integers(1, 24),
+    "routing.prophet_beta": st.floats(0.0, 1.0),
+    "routing.buffer.policy": st.sampled_from(_POLICIES),
+    "routing.buffer.capacity": st.integers(0, 64),
+    "engine.engine": st.sampled_from(ENGINES),
+    "engine.tick_s": st.sampled_from(_TICKS),
+}
+
+
+@st.composite
+def field_changes(draw):
+    paths = draw(st.lists(st.sampled_from(sorted(_PATH_VALUES)), unique=True))
+    return {path: draw(_PATH_VALUES[path]) for path in paths}
+
+
+class TestReplaceFields:
+    @settings(max_examples=100, deadline=None)
+    @given(scenario_configs(), field_changes())
+    def test_matches_the_nested_replace_reference(self, config, changes):
+        replaced = replace_fields(config, changes)
+        reference = reference_replace(config, changes)
+        assert replaced == reference
+        # == conflates 1 and 1.0; the flattened JSON does not.
+        assert json.dumps(config_to_dict(replaced)) == json.dumps(config_to_dict(reference))
+        assert _key(replaced) == _key(reference)
+
+    def test_several_paths_in_one_section_and_every_depth(self, tiny_config):
+        changes = {
+            "seed": 5,
+            "radio.num_channels": 3,
+            "radio.sf_policy": "random",
+            "routing.max_handover_messages": 6,
+            "routing.buffer.policy": "drop-oldest",
+            "routing.buffer.capacity": 8,
+        }
+        assert replace_fields(tiny_config, changes) == reference_replace(tiny_config, changes)
+        assert replace_fields(tiny_config, {}) is tiny_config
+
+    @pytest.mark.parametrize("path, problem", [
+        ("radoi.num_channels", "unknown field 'radoi'"),
+        ("radio.num_chanels", "unknown field 'radio.num_chanels'"),
+        ("routing.buffer.polcy", "unknown field 'routing.buffer.polcy'"),
+        ("routing.buffer", "'routing.buffer' is a section"),
+        ("radio", "'radio' is a section"),
+        ("seed.value", "'seed' is a scalar field, not a section"),
+        ("radio.num_channels.x", "'radio.num_channels' is a scalar field, not a section"),
+    ])
+    def test_bad_paths_name_the_available_fields(self, tiny_config, path, problem):
+        with pytest.raises(ValueError, match="available") as excinfo:
+            replace_fields(tiny_config, {path: 1})
+        assert problem in str(excinfo.value)
+
+    def test_available_fields_are_listed_by_path(self, tiny_config):
+        with pytest.raises(ValueError) as excinfo:
+            replace_fields(tiny_config, {"routing.buffer.polcy": "drop-oldest"})
+        assert "'routing.buffer.policy'" in str(excinfo.value)
+
+    def test_a_sections_changes_land_together(self, tiny_config, tmp_path):
+        # The trace-file model is only valid with its path set: one path at
+        # a time fails on whichever comes first, the grouped rebuild does not.
+        trace = str(tmp_path / "trace.csv")
+        changes = {"mobility.model": "trace-file", "mobility.trace_file": trace}
+        with pytest.raises(ValueError, match="trace_file"):
+            reference_replace(tiny_config, changes)
+        config = replace_fields(tiny_config, changes)
+        assert config.mobility == MobilityConfig(model="trace-file", trace_file=trace)

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
 from repro.experiments.registry import get_preset
@@ -88,11 +89,11 @@ class TestDigestStability:
         # the cache key; every variant gets its own digest.
         digests = {
             config_digest(SMALL),
-            config_digest(SMALL.with_radio(num_channels=3)),
-            config_digest(SMALL.with_radio(sf_policy="distance-based")),
-            config_digest(
-                SMALL.with_radio(num_channels=3, sf_policy="distance-based")
-            ),
+            config_digest(replace_fields(SMALL, {"radio.num_channels": 3})),
+            config_digest(replace_fields(SMALL, {"radio.sf_policy": "distance-based"})),
+            config_digest(replace_fields(
+                SMALL, {"radio.num_channels": 3, "radio.sf_policy": "distance-based"}
+            )),
         }
         assert len(digests) == 4
 
@@ -133,9 +134,9 @@ class TestMultiSfScenarios:
     """The opened-up radio layer runs end-to-end and actually differs."""
 
     def test_multichannel_distance_based_runs_and_diverges(self):
-        multi = SMALL.with_scheme("robc").with_radio(
-            num_channels=3, sf_policy="distance-based"
-        )
+        multi = replace_fields(SMALL, {
+            "scheme": "robc", "radio.num_channels": 3, "radio.sf_policy": "distance-based",
+        })
         metrics = run_scenario(multi)
         assert metrics.messages_generated > 0
         baseline = run_scenario(SMALL.with_scheme("robc"))
@@ -144,8 +145,8 @@ class TestMultiSfScenarios:
         assert metrics_fingerprint(metrics) != metrics_fingerprint(baseline)
 
     def test_random_sf_policy_is_seed_deterministic(self):
-        config = SMALL.with_scheme("robc").with_radio(
-            num_channels=8, sf_policy="random"
+        config = replace_fields(
+            SMALL, {"scheme": "robc", "radio.num_channels": 8, "radio.sf_policy": "random"}
         )
         first = run_scenario(config)
         second = run_scenario(config)
@@ -167,7 +168,7 @@ class TestMultiSfScenarios:
         assert shared.handover_count > 0
 
         isolated = MLoRaSimulation(
-            build_scenario(SMALL.with_scheme("robc").with_radio(num_channels=8))
+            build_scenario(replace_fields(SMALL, {"scheme": "robc", "radio.num_channels": 8}))
         )
         isolated.run()
         channels = {

@@ -22,7 +22,7 @@ from repro.experiments.registry import (
 from repro.experiments.parallel import config_digest
 from repro.experiments.scenario import build_scenario
 from repro.mac.device_classes import DeviceClass
-from repro.routing import SCHEME_REGISTRY
+from repro.routing import scheme_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -73,7 +73,7 @@ class TestPresets:
             config = preset.config
             assert config.name == preset.name
             assert preset.description
-            assert config.scheme in SCHEME_REGISTRY, preset.name
+            assert config.scheme in scheme_names(), preset.name
             # Urban/rural tags match the paper's device-to-device ranges.
             if "urban" in preset.tags:
                 assert config.device_range_m == 500.0, preset.name

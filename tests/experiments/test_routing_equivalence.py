@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
 from repro.experiments.registry import get_preset
@@ -116,11 +117,13 @@ class TestDigestStability:
     def test_non_default_routing_changes_the_digest(self):
         digests = {
             config_digest(SMALL),
-            config_digest(SMALL.with_routing(spray_initial_copies=8)),
-            config_digest(SMALL.with_routing(max_handover_messages=6)),
-            config_digest(SMALL.with_buffer(policy="drop-oldest")),
-            config_digest(SMALL.with_buffer(capacity=8)),
-            config_digest(SMALL.with_buffer(policy="ttl-expiry", ttl_s=600.0)),
+            config_digest(replace_fields(SMALL, {"routing.spray_initial_copies": 8})),
+            config_digest(replace_fields(SMALL, {"routing.max_handover_messages": 6})),
+            config_digest(replace_fields(SMALL, {"routing.buffer.policy": "drop-oldest"})),
+            config_digest(replace_fields(SMALL, {"routing.buffer.capacity": 8})),
+            config_digest(replace_fields(
+                SMALL, {"routing.buffer.policy": "ttl-expiry", "routing.buffer.ttl_s": 600.0}
+            )),
         }
         assert len(digests) == 6
 
@@ -145,15 +148,32 @@ class TestSeedEquivalence:
         )
 
     def test_registry_built_scheme_matches_inline_construction(self):
-        """build_scheme with a default RoutingConfig == the old hardcoded ctor."""
-        from repro.routing import build_scheme, make_scheme
+        """build_scheme with a default RoutingConfig == the scheme's own ctor."""
+        from repro.routing import (
+            EpidemicScheme,
+            ProphetScheme,
+            RCAETXScheme,
+            ROBCScheme,
+            SprayAndWaitScheme,
+            build_scheme,
+        )
 
-        for name in ("rca-etx", "robc", "epidemic", "spray-and-wait"):
-            built = build_scheme(name)
-            legacy = make_scheme(name)
-            assert built.max_handover_messages == legacy.max_handover_messages
+        constructors = {
+            "rca-etx": RCAETXScheme,
+            "robc": ROBCScheme,
+            "epidemic": EpidemicScheme,
+            "spray-and-wait": SprayAndWaitScheme,
+            "prophet": ProphetScheme,
+        }
+        for name, scheme_class in constructors.items():
+            built, inline = build_scheme(name), scheme_class()
+            assert built.max_handover_messages == inline.max_handover_messages, name
         assert build_scheme("spray-and-wait").initial_copies == 4
-        assert build_scheme("robc").rgq == make_scheme("robc").rgq
+        assert build_scheme("robc").rgq == ROBCScheme().rgq
+        prophet, inline = build_scheme("prophet"), ProphetScheme()
+        assert (prophet.p_init, prophet.beta, prophet.gamma) == (
+            inline.p_init, inline.beta, inline.gamma
+        )
 
 
 class TestRoutingParameters:
@@ -166,20 +186,24 @@ class TestRoutingParameters:
         # goldens pin), so the copies=1 boundary is where the parameter bites.
         base = run_scenario(SMALL.with_scheme("spray-and-wait"))
         wait_only = run_scenario(
-            SMALL.with_scheme("spray-and-wait").with_routing(spray_initial_copies=1)
+            replace_fields(SMALL, {"scheme": "spray-and-wait", "routing.spray_initial_copies": 1})
         )
         assert metrics_fingerprint(base) != metrics_fingerprint(wait_only)
 
     def test_handover_cap_changes_results(self):
         base = run_scenario(SMALL.with_scheme("robc"))
         tight = run_scenario(
-            SMALL.with_scheme("robc").with_routing(max_handover_messages=1)
+            replace_fields(SMALL, {"scheme": "robc", "routing.max_handover_messages": 1})
         )
         assert metrics_fingerprint(base) != metrics_fingerprint(tight)
 
     def test_buffer_pressure_counts_capacity_drops(self):
         pressured = run_scenario(
-            SMALL.with_scheme("robc").with_buffer(policy="drop-oldest", capacity=2)
+            replace_fields(SMALL, {
+                "scheme": "robc",
+                "routing.buffer.policy": "drop-oldest",
+                "routing.buffer.capacity": 2,
+            })
         )
         assert pressured.messages_dropped_full > 0
         relaxed = run_scenario(SMALL.with_scheme("robc"))
@@ -194,9 +218,11 @@ class TestRoutingParameters:
 
     def test_ttl_expiry_removes_stale_messages(self):
         metrics = run_scenario(
-            SMALL.with_scheme("no-routing").with_buffer(
-                policy="ttl-expiry", ttl_s=60.0
-            )
+            replace_fields(SMALL, {
+                "scheme": "no-routing",
+                "routing.buffer.policy": "ttl-expiry",
+                "routing.buffer.ttl_s": 60.0,
+            })
         )
         assert metrics.messages_expired_ttl > 0
 
@@ -209,8 +235,8 @@ class TestRoutingParameters:
             BufferConfig(policy="ttl-expiry")  # needs ttl_s > 0
         with pytest.raises(ValueError):
             BufferConfig(policy="drop-new", ttl_s=10.0)
-        with pytest.raises(ValueError):
-            SMALL.with_routing(not_a_param=3)
+        with pytest.raises(ValueError, match="not_a_param"):
+            replace_fields(SMALL, {"routing.not_a_param": 3})
 
 
 class TestProphet:
@@ -230,9 +256,9 @@ class TestProphet:
     def test_prophet_parameters_change_results(self):
         base = run_scenario(SMALL.with_scheme("prophet"))
         eager = run_scenario(
-            SMALL.with_scheme("prophet").with_routing(
-                prophet_beta=1.0, prophet_gamma=1.0
-            )
+            replace_fields(SMALL, {
+                "scheme": "prophet", "routing.prophet_beta": 1.0, "routing.prophet_gamma": 1.0,
+            })
         )
         assert metrics_fingerprint(base) != metrics_fingerprint(eager)
 
@@ -270,9 +296,9 @@ class TestRoutingSweep:
             "urban-smoke", buffer="drop-oldest", buffer_capacity=4
         )
         expected = run_scenario(
-            get_preset("urban-smoke").config.with_buffer(
-                policy="drop-oldest", capacity=4
-            )
+            replace_fields(get_preset("urban-smoke").config, {
+                "routing.buffer.policy": "drop-oldest", "routing.buffer.capacity": 4,
+            })
         )
         assert outcome.metrics == expected
 
@@ -283,6 +309,6 @@ class TestRoutingSweep:
         assert params == {"max_handover_messages": 3}
         outcome = run_target("urban-smoke", scheme_params=params)
         expected = run_scenario(
-            get_preset("urban-smoke").config.with_routing(max_handover_messages=3)
+            replace_fields(get_preset("urban-smoke").config, {"routing.max_handover_messages": 3})
         )
         assert outcome.metrics == expected

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, config_digest
 from repro.experiments.registry import iter_presets
@@ -228,7 +229,7 @@ class TestRemovedStrictEquivalence:
     ``engine.strict_equivalence``: ``true`` loads as if absent, ``false``
     (the removed mode) is refused."""
 
-    CONFIG = ScenarioConfig().with_engine("array", tick_s=7.0)
+    CONFIG = ScenarioConfig(engine=EngineConfig("array", tick_s=7.0))
 
     def _write(self, tmp_path, suffix, value):
         path = tmp_path / f"exported{suffix}"

@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.analysis.metrics import RunMetrics
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor
 from repro.experiments.serialization import scenario_to_dict
@@ -119,6 +120,26 @@ class TestService:
         assert payload["runs"] >= 1
         assert 0.0 <= payload["delivery_ratio"] <= 1.0
 
+    def test_undelivered_run_serves_null_not_nan(self, service):
+        # No deliveries: the mean delay and hop count are NaN, which JSON
+        # cannot carry; the response must still be strict JSON.
+        metrics = RunMetrics(
+            scheme="robc", num_gateways=1, device_range_m=500.0, duration_s=600.0,
+            messages_generated=4, messages_delivered=0,
+        )
+        key = f"v1-{'a' * 64}-n-0"
+        service.executor.store.store(key, metrics)
+        url = f"http://127.0.0.1:{service.bound_port}/results/{key}"
+        with urllib.request.urlopen(url, timeout=30) as response:
+            body = response.read().decode("utf-8")
+
+        def reject(literal):
+            raise AssertionError(f"non-JSON literal {literal} in {body}")
+
+        payload = json.loads(body, parse_constant=reject)
+        assert payload["metrics"]["mean_delay_s"] is None
+        assert payload["metrics"]["mean_hop_count"] is None
+
     def test_unknown_cache_key_is_a_404_not_a_job(self, service):
         absent = f"v1-{'0' * 64}-n-0"
         status, payload = _request(service, "POST", "/runs", {"cache_key": absent})
@@ -187,6 +208,17 @@ class TestService:
         status, payload = _request(service, "POST", "/runs", {"scenario": scenario})
         assert status == 400, payload
         assert "duration_s" in payload["error"]
+
+    def test_non_finite_message_interval_is_a_400(self, service, tiny_config):
+        # A NaN interval once ran as one message per device under its own
+        # cache key.
+        scenario = scenario_to_dict(tiny_config)
+        scenario["device"] = {**scenario["device"], "message_interval_s": float("nan")}
+        jobs_before = dict(service.jobs)
+        status, payload = _request(service, "POST", "/runs", {"scenario": scenario})
+        assert status == 400, payload
+        assert "message_interval_s" in payload["error"]
+        assert service.jobs == jobs_before
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_engine_tick_is_a_400(self, service, tiny_config, value):

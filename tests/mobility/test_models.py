@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.mobility.config import MOBILITY_MODELS, MobilityConfig
 from repro.mobility.geometry import Point
 from repro.mobility.london import LondonBusNetworkConfig
@@ -57,12 +58,14 @@ class TestMobilityConfig:
         with pytest.raises(ValueError, match="trace_file"):
             MobilityConfig(model="trace-file")
 
-    def test_with_helpers(self):
-        config = MobilityConfig().with_model("random-waypoint").with_num_nodes(7)
+    def test_field_replacement_derives_copies(self):
+        config = replace_fields(MobilityConfig(), {"model": "random-waypoint", "num_nodes": 7})
         assert config.model == "random-waypoint"
         assert config.num_nodes == 7
         assert not config.is_default
-        replay = MobilityConfig().with_trace_file("traces.csv")
+        replay = replace_fields(
+            MobilityConfig(), {"model": "trace-file", "trace_file": "traces.csv"}
+        )
         assert replay.model == "trace-file"
         assert replay.trace_file == "traces.csv"
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config_fields import replace_fields
 from repro.radio.config import SF_POLICIES, RadioConfig
 
 
@@ -27,9 +28,9 @@ class TestRadioConfig:
         with pytest.raises(ValueError, match="num_channels"):
             RadioConfig(num_channels=0)
 
-    def test_with_helpers_derive_copies(self):
+    def test_field_replacement_derives_copies(self):
         config = RadioConfig()
-        multi = config.with_channels(3).with_sf_policy("random")
+        multi = replace_fields(config, {"num_channels": 3, "sf_policy": "random"})
         assert multi == RadioConfig(num_channels=3, sf_policy="random")
         assert not multi.is_default
         assert config == RadioConfig()  # original untouched

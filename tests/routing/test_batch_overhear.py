@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.mac.device import DeviceConfig, EndDevice
 from repro.mac.frames import DataMessage, UplinkPacket
 from repro.phy.link import LinkCapacityModel
-from repro.routing import make_scheme, scheme_names
+from repro.routing import build_scheme, scheme_names
 from repro.routing.spray_and_wait import get_tickets
 
 CAPACITY = LinkCapacityModel(
@@ -74,8 +74,8 @@ def _scheme_state(scheme):
 def test_batch_matches_scalar_for_every_scheme():
     packet = _packet()
     for name in scheme_names():
-        scalar_scheme = make_scheme(name)
-        batch_scheme = make_scheme(name)
+        scalar_scheme = build_scheme(name)
+        batch_scheme = build_scheme(name)
 
         receivers_a, rssi, models = _world()
         scalar = [
@@ -103,8 +103,8 @@ def test_prophet_batch_preserves_update_order():
     predictability read by receiver k must reflect updates 0..k-1 exactly as
     in the scalar loop.  Seeding the table with distinct values makes any
     reordering change a decision or a stored float."""
-    scalar_scheme = make_scheme("prophet")
-    batch_scheme = make_scheme("prophet")
+    scalar_scheme = build_scheme("prophet")
+    batch_scheme = build_scheme("prophet")
     packet = _packet(sender="bus-tx")
     for scheme in (scalar_scheme, batch_scheme):
         scheme.observe_transmission_slot("bus-tx", True, 0.0)

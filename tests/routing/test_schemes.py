@@ -5,13 +5,7 @@ import pytest
 from repro.mac.device import DeviceConfig, EndDevice
 from repro.mac.frames import DataMessage, UplinkPacket
 from repro.phy.link import LinkCapacityModel
-from repro.routing import (
-    SCHEME_REGISTRY,
-    build_scheme,
-    make_scheme,
-    register_scheme_factory,
-    scheme_names,
-)
+from repro.routing import build_scheme, register_scheme_factory, scheme_names
 from repro.routing.base import ForwardingDecision
 from repro.routing.config import RoutingConfig
 from repro.routing.epidemic import EpidemicScheme
@@ -51,17 +45,13 @@ class TestRegistry:
         expected = {
             "no-routing", "rca-etx", "robc", "epidemic", "spray-and-wait", "prophet"
         }
-        assert set(SCHEME_REGISTRY) == expected
-        # Both registries (class map and factory map) agree on the catalogue.
         assert set(scheme_names()) == expected
 
-    def test_make_scheme_builds_instances(self):
-        assert isinstance(make_scheme("robc"), ROBCScheme)
-        assert isinstance(make_scheme("no-routing"), NoRoutingScheme)
+    def test_build_scheme_builds_instances(self):
+        assert isinstance(build_scheme("robc"), ROBCScheme)
+        assert isinstance(build_scheme("no-routing"), NoRoutingScheme)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            make_scheme("definitely-not-a-scheme")
         with pytest.raises(ValueError):
             build_scheme("definitely-not-a-scheme")
 
