@@ -144,9 +144,10 @@ class RealTimePacketServiceTime:
     @property
     def expected(self) -> float:
         """The smoothed node-to-sink service time E[µ'_{x,S}] — RCA-ETX_{x,S}."""
-        if not self._ewma.initialised:
+        value = self._ewma.value
+        if value is None:
             return self.max_service_time_s
-        return float(self._ewma.value)
+        return float(value)
 
     @property
     def sample_count(self) -> int:

@@ -9,19 +9,23 @@ around array-shaped state:
 * **Static gateway grid.**  Gateways never move, so they are binned once
   per run into a uniform grid whose cell is at least the largest gateway
   prune radius.  Device positions at every tick of the ``engine.tick_s``
-  grid are precomputed per trace (struct-of-arrays: ``(n_ticks,
-  n_devices)`` x and y tables plus per-device activity spans and
-  speed-derived safety margins).  Each tick, a device's candidate gateways
-  come from the 3×3 cell block around its tick position, filtered by the
-  squared-distance test against its reach; no ``(n_devices, n_gateways)``
-  array is ever built.  Only devices with at least one candidate pay for an
-  exact position interpolation and link computation, which calls the
-  *same* :meth:`~repro.network.topology.TimeVaryingTopology._link_state`
-  code the oracle calls, so connectivity decisions and RSSI values are
-  identical by construction.  The reach adds the trace's maximum segment
-  speed times ``tick_s`` and
+  grid are precomputed for the whole fleet at once (struct-of-arrays:
+  ``(n_ticks, n_devices)`` x and y tables plus per-device activity spans
+  and speed-derived safety margins).  Each tick, a device's candidate
+  gateways come from the 3×3 cell block around its tick position, filtered
+  by the squared-distance test against its reach; no ``(n_devices,
+  n_gateways)`` array is ever built.  Only devices with at least one
+  candidate pay for an exact position interpolation and link computation,
+  which repeats the arithmetic of the oracle's
+  :meth:`~repro.network.topology.TimeVaryingTopology._link_state` (same
+  ``math.hypot`` distance, same mean path loss, same capacity call), so
+  connectivity decisions and RSSI values are identical.  The reach adds
+  the trace's maximum segment speed times ``tick_s`` and
   :data:`~repro.network.spatial.RANGE_MASK_SLACK_M` to the range, so the
   candidacy is a superset of the oracle's ``math.hypot`` disc query.
+* **Cached trace segments.**  Event times only grow, so each device keeps
+  the trace segment its last exact position came from; a bisect runs once
+  per segment instead of once per position query.
 * **Disconnected retry chains.**  In non-forwarding scenarios a slot with no
   connected gateway cannot be observed by anything: the frame reaches no
   receiver, the reception resolution draws no randomness, and the queue
@@ -35,12 +39,11 @@ around array-shaped state:
   byte row), inside its trace and the run.  Only the first event that
   leaves the chain goes on the heap: one heap round trip per chain instead
   of two per retry.
-* **Per-(channel, SF) collision buckets.**  Registered transmissions land in
-  start-time-ordered buckets with a monotone head pointer; the capture
-  check replicates :meth:`~repro.phy.collision.CollisionModel.is_received`
-  over the bucket instead of scanning one global registry.  Entries are
-  discarded once no current-or-future frame can overlap them (bounded by
-  the bucket's maximum airtime), so the scan window stays O(recent frames).
+* **One collision registry.**  Airtime, registration, gateway reception,
+  overhearer decodability and eviction go through the scenario's
+  :class:`~repro.radio.medium.RadioMedium`, the same medium the oracle
+  transmits through (its per-(channel, SF) buckets are described in
+  :mod:`repro.phy.collision`).
 * **Raw event heap.**  Events are plain tuples on a :mod:`heapq` list,
   ordered by (time, priority, insertion order) like the oracle's
   :class:`~repro.sim.events.EventQueue`.  Every event that runs on the heap
@@ -53,9 +56,10 @@ around array-shaped state:
   ``_run_chain``).
 * **Vectorized forwarding hot path.**  In forwarding scenarios every
   completed uplink fans out to its overhearers.  Neighbour candidacy is
-  answered from per-tick arrays (squared-distance mask over the tick's
-  position row, intersected with cached per-(channel, SF) listening masks
-  and an activity-span superset); survivors are recomputed scalar-exactly
+  one per-tick CSR table: a grid pass over the tick's positions pairs every
+  transmitter with the receivers that can be in reach at some instant of
+  the tick (device range plus both margins, overhear-capable, same channel
+  and SF, active in the tick); survivors are recomputed scalar-exactly
   with the oracle's arithmetic, in the oracle's device order.  Forwarding
   verdicts then go through :meth:`~repro.routing.base.ForwardingScheme.
   on_overhear_batch` — one call per transmission instead of one per
@@ -92,9 +96,7 @@ from repro.mac.queueing import BufferPolicy
 from repro.mobility.trace import MobilityTrace
 from repro.network.spatial import RANGE_MASK_SLACK_M
 from repro.phy.collision import Transmission
-from repro.phy.constants import MAX_PHY_PAYLOAD_BYTES
 from repro.phy.energy import RadioState
-from repro.phy.link import LinkCapacityModel
 from repro.radio.medium import RadioMedium
 from repro.routing.base import ForwardingScheme
 from repro.sim.events import ATTEMPT_PRIORITY, COMPLETION_PRIORITY
@@ -106,11 +108,15 @@ _ATTEMPT = 1
 _COMPLETION = 2
 _FAST_COMPLETION = 3
 
-#: Collision buckets are compacted once this many entries are dead.
-_BUCKET_COMPACT_THRESHOLD = 512
-
 _TX = RadioState.TX
 _NEG_INF = float("-inf")
+
+#: Rounding slack of the overhear pair test, which bounds a distance by the
+#: device range plus two margins (one ``RANGE_MASK_SLACK_M`` per margin).
+_PAIR_SLACK_M = 2.0 * RANGE_MASK_SLACK_M
+
+#: Transmitters per block of the overhear pair test (bounds its transients).
+_PAIR_CHUNK_TRANSMITTERS = 256
 
 #: Relative padding of the gateway grid's cell over the largest reach, so
 #: float rounding in the cell arithmetic can never put an in-reach gateway
@@ -162,6 +168,70 @@ def max_segment_speeds(
     return speeds_out
 
 
+def tick_positions(
+    traces: Sequence[MobilityTrace],
+    tick_times: np.ndarray,
+    chunk_samples: int = _SPEED_CHUNK_SAMPLES,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(len(tick_times), len(traces))`` x and y of each trace at each tick.
+
+    Row ``k``, column ``i`` is ``traces[i].positions_at(clip(tick_times[k],
+    start_i, end_i))``, bit for bit, computed for blocks of whole traces of
+    about ``chunk_samples`` samples or (trace, tick) pairs at once.
+    ``tick_times`` is sorted, so
+    ``bisect_right`` of tick ``k`` in a trace counts its samples whose first
+    tick at or after them is at most ``k``: one ``searchsorted`` of the
+    samples into the ticks and a per-trace cumulative histogram give every
+    interpolation index.
+    """
+    n_ticks = tick_times.size
+    tick_x = np.empty((n_ticks, len(traces)), dtype=float)
+    tick_y = np.empty((n_ticks, len(traces)), dtype=float)
+    lengths = np.fromiter(
+        (t._times_array.size for t in traces), dtype=np.int64, count=len(traces)
+    )
+    ends = np.cumsum(lengths)
+    max_block = max(1, chunk_samples // (n_ticks + 1))
+    start = 0
+    while start < len(traces):
+        first_sample = ends[start] - lengths[start]
+        stop = int(np.searchsorted(ends, first_sample + chunk_samples, side="right"))
+        stop = min(max(stop, start + 1), start + max_block)
+        block = traces[start:stop]
+        block_lengths = lengths[start:stop]
+        times = np.concatenate([t._times_array for t in block])
+        xs = np.concatenate([t._xs_array for t in block])
+        ys = np.concatenate([t._ys_array for t in block])
+        firsts = ends[start:stop] - block_lengths - first_sample
+        lasts = firsts + block_lengths - 1
+        # counts[i, k]: samples of trace i at or before tick k.
+        trace_of = np.repeat(np.arange(stop - start), block_lengths)
+        first_tick = np.searchsorted(tick_times, times, side="left")
+        counts = np.bincount(
+            trace_of * (n_ticks + 1) + first_tick, minlength=(stop - start) * (n_ticks + 1)
+        ).reshape(stop - start, n_ticks + 1)
+        counts = np.cumsum(counts, axis=1)[:, :n_ticks]
+        # Ticks outside a trace clamp to its first or last sample (a one-sample
+        # trace is both); the rest interpolate, as in ``positions_at``.
+        at_last = tick_times >= times[lasts][:, None]
+        at_first = tick_times <= times[firsts][:, None]
+        x = np.where(at_last, xs[lasts][:, None], 0.0)
+        y = np.where(at_last, ys[lasts][:, None], 0.0)
+        x[at_first] = np.broadcast_to(xs[firsts][:, None], x.shape)[at_first]
+        y[at_first] = np.broadcast_to(ys[firsts][:, None], y.shape)[at_first]
+        mid = ~(at_last | at_first)
+        index = (counts + firsts[:, None])[mid]
+        before = index - 1
+        t = np.broadcast_to(tick_times, mid.shape)[mid]
+        fraction = (t - times[before]) / (times[index] - times[before])
+        x[mid] = xs[before] + (xs[index] - xs[before]) * fraction
+        y[mid] = ys[before] + (ys[index] - ys[before]) * fraction
+        tick_x[:, start:stop] = x.T
+        tick_y[:, start:stop] = y.T
+        start = stop
+    return tick_x, tick_y
+
+
 class GatewayGrid:
     """Static gateways binned once into square cells no smaller than a reach.
 
@@ -171,6 +241,8 @@ class GatewayGrid:
     ``r_i`` of a device lies in the 3×3 cell block around the device's cell,
     so only that block is tested.  The result is exactly the dense
     device × gateway mask, in gateway insertion order, without building it.
+    :meth:`block_pairs` gives the untested block pairs; the overhear
+    candidacy bins a tick's receiver positions the same way.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, max_reach_m: float) -> None:
@@ -196,6 +268,48 @@ class GatewayGrid:
     def _cell_keys(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         return cx.astype(np.int64) * self._height + cy.astype(np.int64)
 
+    def block_pairs(
+        self, px: np.ndarray, py: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (device, gateway) pair with the gateway in the device's 3×3 block.
+
+        Returns the pairs' device and gateway indices, unordered.  A gateway
+        within the grid's ``max_reach_m`` of a device is among them.
+        """
+        empty = np.empty(0, dtype=np.int64)
+        if not self._keys.size:
+            return empty, empty
+        n = px.size
+        # Devices more than one cell outside the gateway extent have no
+        # candidates; clipping their cell keeps the key arithmetic bounded.
+        dcx = np.clip(np.floor(px / self.cell_m), self._lo[0] - 2, self._hi[0] + 2)
+        dcy = np.clip(np.floor(py / self.cell_m), self._lo[1] - 2, self._hi[1] + 2)
+        dcx -= self._lo[0]
+        dcy -= self._lo[1]
+        # Keys run along y within an x column, so each column of the 3×3
+        # block is one contiguous key range: one query row per (device,
+        # column), all three columns at once.
+        lo_y = np.tile(np.maximum(dcy - 1, 0), 3)
+        hi_y = np.tile(np.minimum(dcy + 1, self._height - 1), 3)
+        tx = np.concatenate((dcx - 1.0, dcx, dcx + 1.0))
+        rows = np.flatnonzero((lo_y <= hi_y) & (tx >= 0) & (tx < self._width))
+        tx = tx[rows]
+        start = np.searchsorted(
+            self._keys, self._cell_keys(tx, lo_y[rows]), side="left"
+        )
+        counts = (
+            np.searchsorted(self._keys, self._cell_keys(tx, hi_y[rows]), side="right")
+            - start
+        )
+        total = int(counts.sum())
+        if not total:
+            return empty, empty
+        # Flat slot of each (device, gateway) pair in the sorted gateway
+        # order: the range's start plus the pair's rank in it.
+        ends = np.cumsum(counts)
+        slot = np.repeat(start - ends + counts, counts) + np.arange(total)
+        return np.repeat(rows % n, counts), self._order[slot]
+
     def candidates(
         self, px: np.ndarray, py: np.ndarray, reach_sq: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -207,51 +321,12 @@ class GatewayGrid:
         """
         n = px.size
         ptr = np.zeros(n + 1, dtype=np.int64)
-        if not self._keys.size:
-            return ptr, np.empty(0, dtype=np.int64)
-        # Devices more than one cell outside the gateway extent have no
-        # candidates; clipping their cell keeps the key arithmetic bounded.
-        dcx = np.clip(np.floor(px / self.cell_m), self._lo[0] - 2, self._hi[0] + 2)
-        dcy = np.clip(np.floor(py / self.cell_m), self._lo[1] - 2, self._hi[1] + 2)
-        dcx -= self._lo[0]
-        dcy -= self._lo[1]
-        # Keys run along y within an x column, so each column of the 3×3
-        # block is one contiguous key range.
-        lo_y = np.maximum(dcy - 1, 0)
-        hi_y = np.minimum(dcy + 1, self._height - 1)
-        in_y = lo_y <= hi_y
-        devices: List[np.ndarray] = []
-        gateways: List[np.ndarray] = []
-        for ox in (-1.0, 0.0, 1.0):
-            tx = dcx + ox
-            dev = np.flatnonzero(in_y & (tx >= 0) & (tx < self._width))
-            start = np.searchsorted(
-                self._keys, self._cell_keys(tx[dev], lo_y[dev]), side="left"
-            )
-            counts = (
-                np.searchsorted(
-                    self._keys, self._cell_keys(tx[dev], hi_y[dev]), side="right"
-                )
-                - start
-            )
-            total = int(counts.sum())
-            if not total:
-                continue
-            dev = np.repeat(dev, counts)
-            # Flat slot of each (device, gateway) pair in the sorted gateway
-            # order: the range's start plus the pair's rank in it.
-            ends = np.cumsum(counts)
-            slot = np.repeat(start - ends + counts, counts) + np.arange(total)
-            gw = self._order[slot]
-            dx = px[dev] - self._xs[gw]
-            dy = py[dev] - self._ys[gw]
-            keep = (dx * dx + dy * dy) <= reach_sq[dev]
-            devices.append(dev[keep])
-            gateways.append(gw[keep])
-        if not devices:
-            return ptr, np.empty(0, dtype=np.int64)
-        dev = np.concatenate(devices)
-        gw = np.concatenate(gateways)
+        dev, gw = self.block_pairs(px, py)
+        dx = px[dev] - self._xs[gw]
+        dy = py[dev] - self._ys[gw]
+        keep = (dx * dx + dy * dy) <= reach_sq[dev]
+        dev = dev[keep]
+        gw = gw[keep]
         order = np.lexsort((gw, dev))
         np.cumsum(np.bincount(dev, minlength=n), out=ptr[1:])
         return ptr, gw[order]
@@ -270,9 +345,6 @@ class ArrayMLoRaSimulation:
             config=self.config.radio,
             reception_rng=scenario.streams.stream("reception"),
         )
-        # The medium serves as the airtime/link-quality cache and the owner of
-        # the reception stream; collision resolution happens in the buckets.
-        self._reception_rng = self.medium.reception_rng
         self.now = 0.0
         # Time of the event popped before the current one.
         self._prev_now = _NEG_INF
@@ -297,6 +369,11 @@ class ArrayMLoRaSimulation:
         self._traces = [scenario.traces[d] for d in self._device_ids]
         self._trace_start = [t.start_time for t in self._traces]
         self._trace_end = [t.end_time for t in self._traces]
+        # Each device's transmitter-side capacity model.
+        self._cap_models = [
+            scenario.topology.capacity_model_for(device_id)
+            for device_id in self._device_ids
+        ]
         self._attempt_pending = [False] * len(self._devices)
 
         # Hoisted per-device state for the inlined fast path.  The inlined
@@ -336,7 +413,6 @@ class ArrayMLoRaSimulation:
         self._uplink_overhead = PACKET_OVERHEAD_BYTES + METRIC_FIELD_BYTES + (
             METRIC_FIELD_BYTES if self._scheme.requires_queue_length else 0
         )
-        self._airtime_cache: Dict[Tuple[int, object], float] = {}
 
         # A base-class observe hook is a literal no-op, so the call is skipped.
         self._scheme_observe = (
@@ -345,11 +421,6 @@ class ArrayMLoRaSimulation:
             is ForwardingScheme.observe_transmission_slot
             else self._scheme.observe_transmission_slot
         )
-
-        # Per-(channel, int(SF)) collision buckets.
-        self._buckets: Dict[Tuple[int, int], List] = {}
-        self._bucket_horizon: Dict[Tuple[int, int], float] = {}
-        self._capture_threshold = self.medium.collisions.capture_threshold_db
 
         # Spatial prefilter (disabled under shadowing: every link computation
         # draws from the shadowing stream, so the draw order must follow the
@@ -380,6 +451,9 @@ class ArrayMLoRaSimulation:
         # Look-ahead candidacy: byte ``tick * n_devices + i`` is 1 when device
         # ``i`` has a gateway candidate in ``tick``.
         self._tick_has_gw = b""
+        # The per-tick gateway candidacy ``_build_tick_has_gw`` computed, in
+        # 32-bit form, held until ``_refresh_tick`` takes or passes its tick.
+        self._tick_candidacy: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         if self._chain_ok and self._devices:
             self._build_tick_has_gw()
 
@@ -412,15 +486,7 @@ class ArrayMLoRaSimulation:
         n_ticks = int(math.floor(self._duration / self._tick_s)) + 1
         tick_times = np.arange(n_ticks, dtype=float) * self._tick_s
         # (n_ticks, n_devices): one tick's coordinates are a contiguous row.
-        tick_x = np.empty((n_ticks, n_devices), dtype=float)
-        tick_y = np.empty((n_ticks, n_devices), dtype=float)
-        for i, trace in enumerate(traces):
-            clamped = np.clip(tick_times, trace.start_time, trace.end_time)
-            positions = trace.positions_at(clamped)
-            tick_x[:, i] = positions[:, 0]
-            tick_y[:, i] = positions[:, 1]
-        self._tick_x = tick_x
-        self._tick_y = tick_y
+        self._tick_x, self._tick_y = tick_positions(traces, tick_times)
         margins = max_segment_speeds(traces) * self._tick_s
         gateway_reach = (
             self.scenario.topology.config.gateway_range_m + margins + RANGE_MASK_SLACK_M
@@ -431,27 +497,52 @@ class ArrayMLoRaSimulation:
             np.asarray([s.position.y for s in self._sinks], dtype=float),
             float(gateway_reach.max()),
         )
+        # Exact link arithmetic (no shadowing here): gateway positions and
+        # range, TX power and the mean path loss.
+        topology = self.scenario.topology
+        self._sink_xy = [(s.position.x, s.position.y) for s in self._sinks]
+        self._gateway_range = topology.config.gateway_range_m
+        self._tx_power = topology.config.tx_power_dbm
+        self._received_power = topology.path_loss.received_power_dbm
+        # Exact positions between ticks: the traces' float-sequence sample
+        # views and each device's cached trace segment, the sample interval
+        # ``[t0, t1)`` that held its last queried time, as its start point
+        # and the ``t1 - t0``, ``x1 - x0``, ``y1 - y0`` differences.  Query
+        # times only grow, so a bisect runs once per segment, not per query.
+        # The empty interval ``[inf, -inf)`` forces the first load.
+        self._trace_times = [t._times for t in traces]
+        self._trace_xs = [t._xs for t in traces]
+        self._trace_ys = [t._ys for t in traces]
+        self._seg_t0 = [math.inf] * n_devices
+        self._seg_t1 = [_NEG_INF] * n_devices
+        self._seg_dt = [1.0] * n_devices
+        self._seg_x0 = [0.0] * n_devices
+        self._seg_dx = [0.0] * n_devices
+        self._seg_y0 = [0.0] * n_devices
+        self._seg_dy = [0.0] * n_devices
         if self._uses_forwarding:
             self._build_overhear_tables(margins)
 
     def _build_overhear_tables(self, margins: np.ndarray) -> None:
-        """Precompute the arrays behind the batched overhear candidacy.
+        """Precompute the arrays behind the per-tick overhear candidacy.
 
-        Per-slot neighbour candidacy is one vectorized disc test over the
-        whole fleet's tick positions: device ``j`` is a candidate overhearer
-        of a transmitter at exact position ``p`` when its tick position lies
-        within ``device_range_m + margin_j + RANGE_MASK_SLACK_M`` of ``p`` —
-        the same superset argument the gateway candidacy uses.  Static receiver
-        masks (overhear-capable device class, matching channel and SF) are
-        held as NumPy bool arrays and folded in per (tick, channel, SF);
-        survivors then run the exact scalar position/link arithmetic.
+        Within a tick every device stays within its margin of its tick
+        position, so a receiver ``j`` that hears transmitter ``i`` (exact
+        distance at most ``device_range_m``) has its tick position within
+        ``device_range_m + margin_i + margin_j`` of ``i``'s.  Each tick's
+        candidacy is that pair test over the devices active in the tick,
+        restricted to overhear-capable receivers on the transmitter's
+        channel and SF (see :meth:`_refresh_overhear_candidacy`); survivors
+        then run the exact scalar position/link arithmetic.
         """
         topology = self.scenario.topology
         devices = self._devices
         n = len(devices)
         device_range = topology.config.device_range_m
-        reach = device_range + margins + RANGE_MASK_SLACK_M
-        self._dev_reach_sq = reach * reach
+        self._margins = margins
+        # Pairs within reach of each other lie in the 3×3 cell block of a
+        # grid this coarse.
+        self._pair_cell_m = device_range + 2.0 * float(margins.max()) + _PAIR_SLACK_M
         # Static listening categories.  ModifiedClassC always listens
         # (fraction 1.0 regardless of state), ClassA/ClassC never overhear
         # devices; anything else (QueueBasedClassA, custom classes) keeps the
@@ -471,45 +562,30 @@ class ArrayMLoRaSimulation:
         self._sf_arr = np.asarray([int(sf) for sf in self._sf], dtype=np.int64)
         self._active_start_arr = np.asarray(self._trace_start, dtype=float)
         self._active_end_arr = np.asarray(self._trace_end, dtype=float)
-        self._rx_static_masks: Dict[Tuple[int, int], np.ndarray] = {}
-        self._tick_rx_masks: Dict[Tuple[int, int], np.ndarray] = {}
-        # Exact survivor-stage state: the traces' float-sequence sample views
-        # (bisect + scalar interpolation, the same arithmetic as
-        # ``position_at``) and the transmitter-side link model.
-        traces = self._traces
-        self._trace_times = [t._times for t in traces]
-        self._trace_xs = [t._xs for t in traces]
-        self._trace_ys = [t._ys for t in traces]
-        self._tx_power = topology.config.tx_power_dbm
+        # This tick's overhear candidacy in CSR form: transmitter ``i``'s
+        # candidate receivers, ascending, are
+        # ``_tick_rx[_tick_rx_ptr[i]:_tick_rx_ptr[i + 1]]``.
+        self._tick_rx_ptr: List[int] = []
+        self._tick_rx: List[int] = []
+        # Exact survivor-stage state: the segment cache (see
+        # ``_build_prefilter``) and the transmitter-side link model.
         self._device_range = device_range
-        self._received_power = topology.path_loss.received_power_dbm
-        self._cap_models = [
-            topology.capacity_model_for(device_id) for device_id in self._device_ids
-        ]
-        # For the stock linear capacity model (with positive peak capacity),
-        # connected ⟺ rssi strictly above the floor; anything else falls back
-        # to the generic capacity call.
-        self._cap_rssi_min = [
-            model.rssi_min_dbm
-            if type(model) is LinkCapacityModel and model.max_capacity_bps > 0.0
-            else None
-            for model in self._cap_models
-        ]
 
     def _build_tick_has_gw(self) -> None:
         """One byte per (tick, device): does the tick's candidacy hold a gateway?
 
-        Built from the same :meth:`GatewayGrid.candidates` call
-        :meth:`_refresh_tick` makes, so a chain's look-ahead agrees with the
-        candidacy the heap path would see at that tick.
+        Each row comes from the :meth:`GatewayGrid.candidates` result
+        :meth:`_refresh_tick` then uses for that tick, so a chain's
+        look-ahead agrees with the candidacy the heap path sees.
         """
         grid = self._gateway_grid
         rows = []
         for tick in range(self._tick_x.shape[0]):
-            ptr, _ = grid.candidates(
+            ptr, gw = grid.candidates(
                 self._tick_x[tick], self._tick_y[tick], self._reach_sq
             )
             rows.append((ptr[1:] != ptr[:-1]).astype(np.uint8).tobytes())
+            self._tick_candidacy[tick] = (ptr.astype(np.int32), gw.astype(np.int32))
         self._tick_has_gw = b"".join(rows)
 
     def _refresh_tick(self, tick: int) -> None:
@@ -520,22 +596,69 @@ class ArrayMLoRaSimulation:
         with the same squared-distance test and reach a dense device ×
         gateway mask would apply, so the CSR result equals that mask's rows.
         """
-        ptr, gw = self._gateway_grid.candidates(
-            self._tick_x[tick], self._tick_y[tick], self._reach_sq
-        )
+        # Ticks are refreshed in time order, so skipped ones are never needed.
+        for skipped in range(self._current_tick + 1, tick):
+            self._tick_candidacy.pop(skipped, None)
+        candidacy = self._tick_candidacy.pop(tick, None)
+        if candidacy is None:
+            candidacy = self._gateway_grid.candidates(
+                self._tick_x[tick], self._tick_y[tick], self._reach_sq
+            )
+        ptr, gw = candidacy
         self._tick_gw_ptr = ptr.tolist()
         self._tick_gw = gw.tolist()
         self._current_tick = tick
         if self._uses_forwarding:
-            # Receiver masks are per (tick, channel, SF): static receiver
-            # eligibility folded with this tick's active-span superset (any
-            # device active at some instant of the tick; survivors re-check
-            # the exact span).
-            self._tick_rx_masks.clear()
-            lo = tick * self._tick_s
-            self._tick_active_sup = (self._active_start_arr <= lo + self._tick_s) & (
-                lo <= self._active_end_arr
+            self._refresh_overhear_candidacy(tick)
+
+    def _refresh_overhear_candidacy(self, tick: int) -> None:
+        """Every transmitter's candidate overhearers for ``tick``.
+
+        Only devices active at some instant of the tick take part (survivors
+        re-check the exact span).  A grid over the receivers' tick positions,
+        with cells no smaller than the largest pair reach, yields every pair
+        that can be in reach; the pair test ``device_range_m + margin_i +
+        margin_j`` (plus slack for rounding) and the receiver filters
+        (overhear-capable, same channel and SF, not the transmitter) then
+        leave a superset of every exact neighbour query in the tick, in
+        device insertion order.
+        """
+        n = len(self._devices)
+        lo = tick * self._tick_s
+        active = np.flatnonzero(
+            (self._active_start_arr <= lo + self._tick_s) & (lo <= self._active_end_arr)
+        )
+        receivers = active[self._overhear_capable[active]]
+        xs = self._tick_x[tick]
+        ys = self._tick_y[tick]
+        margins = self._margins
+        grid = GatewayGrid(xs[receivers], ys[receivers], self._pair_cell_m)
+        kept_tx: List[np.ndarray] = []
+        kept_rx: List[np.ndarray] = []
+        # Transmitters in chunks: the raw block pairs outnumber the kept ones
+        # several times, so this bounds the transient arrays.
+        for first in range(0, active.size, _PAIR_CHUNK_TRANSMITTERS):
+            chunk = active[first : first + _PAIR_CHUNK_TRANSMITTERS]
+            tx, rx = grid.block_pairs(xs[chunk], ys[chunk])
+            tx = chunk[tx]
+            rx = receivers[rx]
+            dx = xs[tx] - xs[rx]
+            dy = ys[tx] - ys[rx]
+            limit = self._device_range + margins[tx] + margins[rx] + _PAIR_SLACK_M
+            keep = (
+                (dx * dx + dy * dy <= limit * limit)
+                & (tx != rx)
+                & (self._channels_arr[tx] == self._channels_arr[rx])
+                & (self._sf_arr[tx] == self._sf_arr[rx])
             )
+            kept_tx.append(tx[keep])
+            kept_rx.append(rx[keep])
+        tx = np.concatenate(kept_tx) if kept_tx else np.empty(0, dtype=np.int64)
+        rx = np.concatenate(kept_rx) if kept_rx else np.empty(0, dtype=np.int64)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tx, minlength=n), out=ptr[1:])
+        self._tick_rx_ptr = ptr.tolist()
+        self._tick_rx = rx[np.lexsort((rx, tx))].tolist()
 
     def _has_gateway_candidate(self, index: int, now: float) -> bool:
         tick = int(now // self._tick_s)
@@ -545,39 +668,67 @@ class ArrayMLoRaSimulation:
         return ptr[index] != ptr[index + 1]
 
     def _gateways_in_range(
-        self, index: int, now: float, position=None
-    ) -> List[tuple]:
-        """Replica of ``topology.gateways_in_range`` behind the prefilter.
+        self, index: int, now: float, position: Optional[Tuple[float, float]] = None
+    ) -> List[Tuple[str, float, float]]:
+        """``topology.gateways_in_range`` as ``(gateway id, RSSI, capacity)`` triples.
 
         Candidates come from the tick's grid candidacy (a superset of the
         oracle's disc query, in the same gateway insertion order); they run
-        through the identical ``_link_state`` arithmetic, so the returned
-        pairs are bit-identical to the oracle's.  Callers that already hold
-        the device's exact position pass it to skip the re-interpolation.
+        through ``_link_state``'s arithmetic without an RNG (same
+        ``math.hypot`` distance, same mean received power, same capacity
+        call), so the values are bit-identical to the oracle's link states.
+        Callers that already hold the device's exact ``(x, y)`` position pass
+        it to skip the re-interpolation.
         """
-        topology = self.scenario.topology
-        device_id = self._device_ids[index]
         if self._exact_topology:
-            return topology.gateways_in_range(device_id, now)
+            return [
+                (gateway_id, link.rssi_dbm, link.capacity_bps)
+                for gateway_id, link in self.scenario.topology.gateways_in_range(
+                    self._device_ids[index], now
+                )
+            ]
         if not self._has_gateway_candidate(index, now):
             return []
         if position is None:
-            position = self._traces[index].position_at(now)
-            if position is None:
+            if not self._trace_start[index] <= now <= self._trace_end[index]:
                 return []
-        capacity_model = topology.capacity_model_for(device_id)
-        gateway_range = topology.config.gateway_range_m
+            position = self._position(index, now)
+        return self._gateway_links(index, position)
+
+    def _gateway_links(
+        self, index: int, position: Tuple[float, float]
+    ) -> List[Tuple[str, float, float]]:
+        """The connected links among device ``index``'s current-tick candidates."""
+        px, py = position
+        capacity_bps = self._cap_models[index].capacity_bps
+        gateway_range = self._gateway_range
+        sink_xy = self._sink_xy
+        gateway_ids = self._gateway_ids
+        received_power = self._received_power
+        tx_power = self._tx_power
         ptr = self._tick_gw_ptr
-        sinks = self._sinks
         result = []
         for gi in self._tick_gw[ptr[index] : ptr[index + 1]]:
-            sink = sinks[gi]
-            state = topology._link_state(
-                position, sink.position, gateway_range, capacity_model
-            )
-            if state.connected:
-                result.append((sink.node_id, state))
+            sx, sy = sink_xy[gi]
+            distance = math.hypot(px - sx, py - sy)
+            if distance > gateway_range:
+                continue
+            rssi = received_power(tx_power, distance, None)
+            capacity = capacity_bps(rssi)
+            if capacity > 0.0:
+                result.append((gateway_ids[gi], rssi, capacity))
         return result
+
+    def _gateway_rssi(
+        self, gateways_in_range: List[Tuple[str, float, float]], channel: int
+    ) -> Dict[str, float]:
+        """RSSI by gateway for the in-range gateways listening on ``channel``."""
+        gateways = self.scenario.gateways
+        return {
+            gateway_id: rssi
+            for gateway_id, rssi, _ in gateways_in_range
+            if gateways[gateway_id].listens_on(channel)
+        }
 
     # ------------------------------------------------------------------ #
     # Event heap (mirrors the oracle's EventQueue push order exactly)
@@ -698,7 +849,7 @@ class ArrayMLoRaSimulation:
                 self._refresh_tick(tick)
             ptr = self._tick_gw_ptr
             if ptr[index] != ptr[index + 1]:
-                gateways = self._gateways_in_range(index, now)
+                gateways = self._gateway_links(index, self._position(index, now))
                 if gateways:
                     self._full_uplink(index, self._devices[index], now, gateways)
                     return
@@ -729,23 +880,12 @@ class ArrayMLoRaSimulation:
         airtimes = self._fast_airtime[index]
         airtime_s = airtimes[bundled]
         if airtime_s is None:
-            airtime_s = airtimes[bundled] = self._airtime_s(
+            airtime_s = airtimes[bundled] = self.medium.airtime_s(
                 self._uplink_overhead + self._msg_size[index] * bundled,
                 self._sf[index],
             )
-        # Inlined device.record_uplink(now, airtime_s): duty cycle (the
-        # can-transmit gate already passed, so the regulator's raise is
-        # unreachable), TX energy, stats, last uplink end.
-        duty = self._duty[index]
-        duty._total_airtime_s += airtime_s
-        duty._transmissions += 1
-        off_time = airtime_s * self._off_mult[index]
-        self._na_dicts[index][channel] = now + airtime_s + off_time
-        self._energy_sec[index][_TX] += airtime_s
-        stats = self._stats[index]
-        stats.uplink_transmissions += 1
+        off_time = self._record_uplink(index, now, airtime_s, channel)
         end = now + airtime_s
-        device.last_uplink_end = end
         # A chain pushes its exit event early, so it starts only at a slot
         # time no other event shares: not the previous pop's, not the heap
         # top's (see ``_run_chain``).  A pending attempt of this device would
@@ -761,6 +901,24 @@ class ArrayMLoRaSimulation:
             return
         heappush(heap, (end, COMPLETION_PRIORITY, self._seq, _FAST_COMPLETION, index))
         self._seq += 1
+
+    def _record_uplink(
+        self, index: int, now: float, airtime_s: float, channel: int
+    ) -> float:
+        """Inlined ``device.record_uplink(now, airtime_s)``; returns the off-time.
+
+        Duty cycle (the caller's can-transmit gate already passed, so the
+        regulator's raise is unreachable), TX energy, stats, last uplink end.
+        """
+        duty = self._duty[index]
+        duty._total_airtime_s += airtime_s
+        duty._transmissions += 1
+        off_time = airtime_s * self._off_mult[index]
+        self._na_dicts[index][channel] = now + airtime_s + off_time
+        self._energy_sec[index][_TX] += airtime_s
+        self._stats[index].uplink_transmissions += 1
+        self._devices[index].last_uplink_end = now + airtime_s
+        return off_time
 
     def _run_chain(
         self, index: int, end: float, airtime_s: float, off_time: float, channel: int
@@ -892,7 +1050,7 @@ class ArrayMLoRaSimulation:
         index: int,
         device: EndDevice,
         now: float,
-        gateways_in_range: Optional[List[tuple]] = None,
+        gateways_in_range: Optional[List[Tuple[str, float, float]]] = None,
     ) -> None:
         """The oracle's ``_transmit_uplink``, with batched spatial queries."""
         scheme = self._scheme
@@ -905,13 +1063,13 @@ class ArrayMLoRaSimulation:
             # The caller established the device is active, so the exact
             # position exists; it is shared by the gateway disc query and the
             # vectorized overhear candidacy below.
-            position = self._traces[index].position_at(now)
+            position = self._position(index, now)
         if gateways_in_range is None:
             gateways_in_range = self._gateways_in_range(index, now, position)
         sink_capacity = 0.0
-        for _, link in gateways_in_range:
-            if link.capacity_bps > sink_capacity:
-                sink_capacity = link.capacity_bps
+        for _, _, capacity in gateways_in_range:
+            if capacity > sink_capacity:
+                sink_capacity = capacity
         self._observe_slot(index, now, sink_capacity)
         if self._scheme_observe is not None:
             self._scheme_observe(device.device_id, sink_capacity > 0.0, now)
@@ -919,13 +1077,11 @@ class ArrayMLoRaSimulation:
         packet = device.build_uplink(
             now, include_queue_length=scheme.requires_queue_length
         )
-        airtime_s = self._airtime_s(packet.payload_bytes, device.spreading_factor)
-        device.record_uplink(now, airtime_s)
+        payload_bytes = packet.payload_bytes
+        airtime_s = self.medium.airtime_s(payload_bytes, device.spreading_factor)
+        self._record_uplink(index, now, airtime_s, device.channel)
 
-        rssi_by_receiver: Dict[str, float] = {}
-        for gateway_id, link in gateways_in_range:
-            if self.scenario.gateways[gateway_id].listens_on(device.channel):
-                rssi_by_receiver[gateway_id] = link.rssi_dbm
+        rssi_by_receiver = self._gateway_rssi(gateways_in_range, device.channel)
         overhearers: Dict[str, float] = {}
         if self._uses_forwarding:
             if position is not None:
@@ -946,21 +1102,15 @@ class ArrayMLoRaSimulation:
                         rssi_by_receiver[neighbour_id] = link.rssi_dbm
                         overhearers[neighbour_id] = link.rssi_dbm
 
-        transmission: Optional[Transmission] = None
-        if rssi_by_receiver:
-            # Frames nobody hears are unobservable: they cannot be received
-            # (no RSSI entry) and never interfere (interferers without an RSSI
-            # entry at the receiver are skipped), so only heard frames are
-            # registered in the collision buckets.
-            transmission = Transmission(
-                sender=device.device_id,
-                start_time=now,
-                duration=airtime_s,
-                channel=device.channel,
-                spreading_factor=device.spreading_factor,
-                rssi_by_receiver=rssi_by_receiver,
-            )
-            self._register(transmission)
+        transmission = self.medium.transmit(
+            sender=device.device_id,
+            now=now,
+            payload_bytes=payload_bytes,
+            rssi_by_receiver=rssi_by_receiver,
+            spreading_factor=device.spreading_factor,
+            channel=device.channel,
+            airtime_s=airtime_s,
+        )
         self._push(
             now + airtime_s,
             COMPLETION_PRIORITY,
@@ -979,82 +1129,57 @@ class ArrayMLoRaSimulation:
     ) -> None:
         """Batched replica of the oracle's per-slot neighbour query.
 
-        One vectorized disc test over the fleet's tick positions (a strict
-        superset of the oracle's range query, pre-masked by channel, SF,
-        overhear capability and active span) yields the candidate indices in
-        device insertion order — the order ``topology.neighbours`` reports
-        them.  Each survivor then runs the exact scalar arithmetic of
-        ``position_at`` + ``_link_state``: same interpolation, same
-        ``math.hypot`` distance, same path-loss call with no RNG, so the
-        surviving (receiver, RSSI) pairs are bit-identical to the oracle's.
+        The tick's overhear candidacy (a superset of the oracle's range
+        query, already restricted by channel, SF, overhear capability and
+        active span) lists the transmitter's candidates in device insertion
+        order — the order ``topology.neighbours`` reports them.  Each one
+        then runs the exact scalar arithmetic of ``position_at`` +
+        ``_link_state``: same interpolation, same ``math.hypot`` distance,
+        same mean path loss with no RNG, so the surviving (receiver, RSSI)
+        pairs are bit-identical to the oracle's.  ``position`` is the
+        transmitter's exact ``(x, y)``.
         """
         tick = int(now // self._tick_s)
         if tick != self._current_tick:
             self._refresh_tick(tick)
-        key = (device.channel, int(device.spreading_factor))
-        base = self._tick_rx_masks.get(key)
-        if base is None:
-            static = self._rx_static_masks.get(key)
-            if static is None:
-                static = (
-                    self._overhear_capable
-                    & (self._channels_arr == key[0])
-                    & (self._sf_arr == key[1])
-                )
-                self._rx_static_masks[key] = static
-            base = static & self._tick_active_sup
-            self._tick_rx_masks[key] = base
-        px = position.x
-        py = position.y
-        dx = self._tick_x[tick] - px
-        dy = self._tick_y[tick] - py
-        candidates = np.flatnonzero(((dx * dx + dy * dy) <= self._dev_reach_sq) & base)
-        if not candidates.size:
+        ptr = self._tick_rx_ptr
+        candidates = self._tick_rx[ptr[index] : ptr[index + 1]]
+        if not candidates:
             return
+        px, py = position
         trace_starts = self._trace_start
         trace_ends = self._trace_end
-        times_by_device = self._trace_times
-        xs_by_device = self._trace_xs
-        ys_by_device = self._trace_ys
+        seg_t0 = self._seg_t0
+        seg_t1 = self._seg_t1
+        seg_dt = self._seg_dt
+        seg_x0 = self._seg_x0
+        seg_dx = self._seg_dx
+        seg_y0 = self._seg_y0
+        seg_dy = self._seg_dy
         hypot = math.hypot
         received_power = self._received_power
         tx_power = self._tx_power
         device_range = self._device_range
-        # Transmitter-side capacity model decides connectivity: for the stock
-        # linear model that is a strict RSSI-floor comparison.
-        rssi_min = self._cap_rssi_min[index]
-        model = self._cap_models[index] if rssi_min is None else None
+        # The transmitter-side capacity model decides connectivity.
+        capacity_bps = self._cap_models[index].capacity_bps
         always_listening = self._always_listening
         devices = self._devices
         device_ids = self._device_ids
-        for j in candidates.tolist():
-            if j == index or not (trace_starts[j] <= now <= trace_ends[j]):
+        for j in candidates:
+            if not trace_starts[j] <= now <= trace_ends[j]:
                 continue
-            times = times_by_device[j]
-            xs = xs_by_device[j]
-            ys = ys_by_device[j]
-            if now >= times[-1]:
-                ox = xs[-1]
-                oy = ys[-1]
-            elif now <= times[0]:
-                ox = xs[0]
-                oy = ys[0]
-            else:
-                k = bisect_right(times, now)
-                t0 = times[k - 1]
-                f = (now - t0) / (times[k] - t0)
-                x0 = xs[k - 1]
-                ox = x0 + (xs[k] - x0) * f
-                y0 = ys[k - 1]
-                oy = y0 + (ys[k] - y0) * f
-            distance = hypot(px - ox, py - oy)
+            t0 = seg_t0[j]
+            if not t0 <= now < seg_t1[j]:
+                self._load_segment(j, now)
+                t0 = seg_t0[j]
+            f = (now - t0) / seg_dt[j]
+            distance = hypot(
+                px - (seg_x0[j] + seg_dx[j] * f), py - (seg_y0[j] + seg_dy[j] * f)
+            )
             if distance > device_range:
                 continue
             rssi = received_power(tx_power, distance, None)
-            if rssi_min is not None:
-                if not rssi > rssi_min:
-                    continue
-            elif not model.capacity_bps(rssi) > 0.0:
+            if not capacity_bps(rssi) > 0.0:
                 continue
             if not always_listening[j] and not devices[j].is_listening(now):
                 continue
@@ -1062,23 +1187,62 @@ class ArrayMLoRaSimulation:
             rssi_by_receiver[neighbour_id] = rssi
             overhearers[neighbour_id] = rssi
 
-    def _airtime_s(self, payload_bytes: int, spreading_factor) -> float:
-        key = (payload_bytes, spreading_factor)
-        airtime = self._airtime_cache.get(key)
-        if airtime is None:
-            airtime = self.medium.airtime_s(payload_bytes, spreading_factor)
-            self._airtime_cache[key] = airtime
-        return airtime
+    def _position(self, j: int, now: float) -> Tuple[float, float]:
+        """``position_at(now)`` of device ``j``, active at ``now``, as ``(x, y)``."""
+        t0 = self._seg_t0[j]
+        if not t0 <= now < self._seg_t1[j]:
+            self._load_segment(j, now)
+            t0 = self._seg_t0[j]
+        f = (now - t0) / self._seg_dt[j]
+        return (
+            self._seg_x0[j] + self._seg_dx[j] * f,
+            self._seg_y0[j] + self._seg_dy[j] * f,
+        )
+
+    def _load_segment(self, j: int, now: float) -> None:
+        """Cache device ``j``'s trace segment around ``now`` (active at ``now``).
+
+        ``position_at``'s arithmetic split at the bisect: between samples
+        ``k - 1`` and ``k`` the position is ``x0 + (x1 - x0) * f`` with
+        ``f = (now - t0) / (t1 - t0)``.  At or past the last sample the
+        segment is the open interval from it with zero differences, which
+        yields that sample; at the first sample ``f`` is zero.  (Either end
+        may turn a ``-0.0`` coordinate into ``0.0``, which no distance sees.)
+        """
+        times = self._trace_times[j]
+        xs = self._trace_xs[j]
+        ys = self._trace_ys[j]
+        if now >= times[-1]:
+            self._seg_t0[j] = times[-1]
+            self._seg_t1[j] = math.inf
+            self._seg_dt[j] = 1.0
+            self._seg_x0[j] = xs[-1]
+            self._seg_dx[j] = 0.0
+            self._seg_y0[j] = ys[-1]
+            self._seg_dy[j] = 0.0
+            return
+        k = bisect_right(times, now)
+        t0 = times[k - 1]
+        x0 = xs[k - 1]
+        y0 = ys[k - 1]
+        self._seg_t0[j] = t0
+        self._seg_t1[j] = times[k]
+        self._seg_dt[j] = times[k] - t0
+        self._seg_x0[j] = x0
+        self._seg_dx[j] = xs[k] - x0
+        self._seg_y0[j] = y0
+        self._seg_dy[j] = ys[k] - y0
 
     # ------------------------------------------------------------------ #
     # Uplink resolution
     # ------------------------------------------------------------------ #
     def _on_fast_completion(self, index: int) -> None:
-        """Completion of a frame nobody heard: always a failed uplink.
+        """Completion of a failed uplink, such as every frame nobody heard.
 
         Inlined ``device.on_uplink_failed()`` plus the retry scheduling of
-        the oracle's completion handler (the queue is never empty here — an
-        unheard frame removes nothing — but the check is kept for parity).
+        the oracle's completion handler: the retry at the duty-cycle release
+        if retries remain and the queue holds data.  Also the failure branch
+        of :meth:`_on_uplink_complete`.
         """
         device = self._devices[index]
         device.retransmission_count += 1
@@ -1109,10 +1273,9 @@ class ArrayMLoRaSimulation:
         device = self._devices[index]
         now = self.now
 
-        # The frame's overlap window is scanned once and shared by the
-        # gateway reception pass and every overhearer's received-check.
-        overlaps = None if transmission is None else self._bucket_overlaps(transmission)
-        delivered_gateway = self._resolve_gateway_reception(transmission, overlaps)
+        delivered_gateway = self.medium.resolve_gateway_reception(
+            transmission, self.scenario.gateways
+        )
         if delivered_gateway is not None:
             ack = self.server.process_uplink(packet, delivered_gateway, now)
             self.scenario.gateways[delivered_gateway].receive(packet)
@@ -1120,106 +1283,12 @@ class ArrayMLoRaSimulation:
             if device.has_data():
                 self._schedule_attempt(index, device.next_transmission_time)
         else:
-            retry_allowed = device.on_uplink_failed()
-            if retry_allowed and device.has_data():
-                self._schedule_attempt(index, device.next_transmission_time)
+            self._on_fast_completion(index)
 
         if self._uses_forwarding:
-            self._resolve_overhearing(device, packet, transmission, overhearers, overlaps)
+            self._resolve_overhearing(device, packet, transmission, overhearers)
 
-    def _resolve_gateway_reception(
-        self,
-        transmission: Optional[Transmission],
-        overlaps: Optional[List[Dict[str, float]]],
-    ) -> Optional[str]:
-        """Replica of ``RadioMedium.resolve_gateway_reception`` over buckets.
-
-        Identical candidate order (descending RSSI) and identical draw
-        discipline: the link-quality draw happens only after the capture
-        check passes, so the reception stream advances exactly as it does in
-        the oracle.
-        """
-        if transmission is None:
-            return None
-        gateways = self.scenario.gateways
-        candidates = [
-            (rssi, receiver)
-            for receiver, rssi in transmission.rssi_by_receiver.items()
-            if receiver in gateways
-        ]
-        quality = self.medium.link_quality(transmission.spreading_factor)
-        if len(candidates) > 1:
-            candidates.sort(reverse=True)
-        for rssi, gateway_id in candidates:
-            if not self._received_with(overlaps, gateway_id, rssi):
-                continue
-            if quality.frame_received(rssi, self._reception_rng):
-                return gateway_id
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Collision buckets
-    # ------------------------------------------------------------------ #
-    def _register(self, transmission: Transmission) -> None:
-        key = (transmission.channel, int(transmission.spreading_factor))
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = [[], 0]
-            # No frame in this bucket lasts longer than a full-payload frame,
-            # and resolutions happen at frame end: once an entry's end falls
-            # this far behind the resolution clock it can never overlap a
-            # current or future frame in the bucket.
-            self._bucket_horizon[key] = self.medium.airtime_s(
-                MAX_PHY_PAYLOAD_BYTES, transmission.spreading_factor
-            )
-        bucket[0].append(transmission)
-
-    def _bucket_overlaps(self, transmission: Transmission) -> List[Dict[str, float]]:
-        """RSSI maps of every registered frame overlapping ``transmission``.
-
-        One scan per completed frame, shared by the gateway reception pass
-        and all overhearer received-checks.  Frames in other buckets never
-        overlap (different channel or SF), and bucket entries wholly before
-        the live window are skipped via the monotone head pointer — neither
-        can change any verdict.
-        """
-        key = (transmission.channel, int(transmission.spreading_factor))
-        bucket = self._buckets[key]
-        entries, head = bucket
-        horizon = transmission.end_time - self._bucket_horizon[key]
-        while head < len(entries) and entries[head].end_time <= horizon:
-            head += 1
-        if head > _BUCKET_COMPACT_THRESHOLD:
-            del entries[:head]
-            head = 0
-        bucket[1] = head
-        start = transmission.start_time
-        end = transmission.end_time
-        overlaps: List[Dict[str, float]] = []
-        for i in range(head, len(entries)):
-            other = entries[i]
-            if (
-                other is not transmission
-                and other.start_time < end
-                and start < other.end_time
-            ):
-                overlaps.append(other.rssi_by_receiver)
-        return overlaps
-
-    def _received_with(
-        self, overlaps: List[Dict[str, float]], receiver: str, rssi: float
-    ) -> bool:
-        """``CollisionModel.is_received`` for one receiver over a shared scan."""
-        if rssi == _NEG_INF:
-            return False
-        threshold = self._capture_threshold
-        for other_rssi_map in overlaps:
-            other_rssi = other_rssi_map.get(receiver)
-            if other_rssi is None or other_rssi == _NEG_INF:
-                continue
-            if rssi - other_rssi < threshold:
-                return False
-        return True
+        self.medium.prune(now)
 
     # ------------------------------------------------------------------ #
     # Overhearing and handovers
@@ -1228,9 +1297,8 @@ class ArrayMLoRaSimulation:
         self,
         sender: EndDevice,
         packet,
-        transmission: Optional[Transmission],
+        transmission: Transmission,
         overhearers: Dict[str, float],
-        overlaps: Optional[List[Dict[str, float]]],
     ) -> None:
         """Forwarding decisions + handovers for one completed transmission.
 
@@ -1244,15 +1312,16 @@ class ArrayMLoRaSimulation:
         interleaved loop.  Schemes that keep the base-class hook take the
         scalar interleaved path unchanged.
         """
-        if transmission is None or not overhearers:
+        if not overhearers:
             return
         now = self.now
         scheme = self._scheme
         devices = self.scenario.devices
-        capacity_model = self.scenario.topology.capacity_model_for(sender.device_id)
+        capacity_model = self._cap_models[self._index_of[sender.device_id]]
+        is_decodable = self.medium.is_decodable
         if not self._batch_decide:
             for neighbour_id, rssi in overhearers.items():
-                if not self._received_with(overlaps, neighbour_id, rssi):
+                if not is_decodable(transmission, neighbour_id):
                     continue
                 neighbour = devices[neighbour_id]
                 decision = scheme.on_overhear(
@@ -1267,7 +1336,7 @@ class ArrayMLoRaSimulation:
         receivers: List[EndDevice] = []
         rssis: List[float] = []
         for neighbour_id, rssi in overhearers.items():
-            if self._received_with(overlaps, neighbour_id, rssi):
+            if is_decodable(transmission, neighbour_id):
                 receivers.append(devices[neighbour_id])
                 rssis.append(rssi)
         if not receivers:
@@ -1294,25 +1363,22 @@ class ArrayMLoRaSimulation:
             return
 
         payload_bytes = PACKET_OVERHEAD_BYTES + sum(m.size_bytes for m in messages)
-        airtime_s = self._airtime_s(payload_bytes, giver.spreading_factor)
+        airtime_s = self.medium.airtime_s(payload_bytes, giver.spreading_factor)
         giver.record_handover_transmission(now, airtime_s)
 
         giver_index = self._index_of[giver.device_id]
-        handover_rssi = {
-            gateway_id: link.rssi_dbm
-            for gateway_id, link in self._gateways_in_range(giver_index, now)
-            if self.scenario.gateways[gateway_id].listens_on(giver.channel)
-        }
+        handover_rssi = self._gateway_rssi(
+            self._gateways_in_range(giver_index, now), giver.channel
+        )
         if handover_rssi:
-            self._register(
-                Transmission(
-                    sender=giver.device_id,
-                    start_time=now,
-                    duration=airtime_s,
-                    channel=giver.channel,
-                    spreading_factor=giver.spreading_factor,
-                    rssi_by_receiver=handover_rssi,
-                )
+            self.medium.transmit(
+                sender=giver.device_id,
+                now=now,
+                payload_bytes=payload_bytes,
+                rssi_by_receiver=handover_rssi,
+                spreading_factor=giver.spreading_factor,
+                channel=giver.channel,
+                airtime_s=airtime_s,
             )
 
         if copy:

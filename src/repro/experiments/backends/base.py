@@ -17,6 +17,7 @@ implementations, and the built-in ``serial`` / ``process-pool`` /
 
 from __future__ import annotations
 
+import math
 import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -60,10 +61,16 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff durations must be >= 0")
+        # NaN fails every comparison, so the range checks reject it too: a NaN
+        # budget would disarm every deadline.
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise ValueError(
+                f"timeout_s must be positive and finite, got {self.timeout_s}"
+            )
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def delay_for(self, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based), bounded."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -389,8 +390,12 @@ def _cmd_docs(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     if args.max_jobs is not None and args.max_jobs < 1:
         raise CLIError(f"--max-jobs must be >= 1, got {args.max_jobs}")
-    if args.idle_timeout is not None and args.idle_timeout <= 0:
-        raise CLIError(f"--idle-timeout must be positive, got {args.idle_timeout}")
+    if args.idle_timeout is not None and not 0 < args.idle_timeout < math.inf:
+        raise CLIError(
+            f"--idle-timeout must be positive and finite, got {args.idle_timeout}"
+        )
+    if not 0 <= args.poll < math.inf:
+        raise CLIError(f"--poll must be finite and >= 0, got {args.poll}")
     processed = run_worker(
         args.spool,
         max_jobs=args.max_jobs,

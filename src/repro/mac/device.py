@@ -169,18 +169,17 @@ class EndDevice:
         The messages stay in the queue until a gateway acknowledges them
         (at-least-once delivery); ``include_queue_length`` adds the ROBC field.
         """
-        if not self.has_data():
+        queue = self.queue
+        if not len(queue):
             raise ValueError(f"device {self.device_id} has no data to send")
-        messages = bundle_messages(
-            self.queue.peek(self.config.max_messages_per_packet, now=now),
-            self.config.max_messages_per_packet,
-        )
+        limit = self.config.max_messages_per_packet
+        messages = bundle_messages(queue.peek(limit, now=now), limit)
         return UplinkPacket(
             sender=self.device_id,
             sent_at=now,
             messages=tuple(messages),
             rca_etx_s=self.rca_etx.sink_metric(),
-            queue_length=self.queue_length() if include_queue_length else None,
+            queue_length=len(queue) if include_queue_length else None,
             spreading_factor=self.spreading_factor,
             channel=self.channel,
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from itertools import islice
 from typing import Iterable, List, Optional
 
 from repro.mac.frames import DataMessage
@@ -247,17 +248,12 @@ class DataQueue:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         self._expire(now)
-        result: List[DataMessage] = []
         source = (
             self._messages.values()
             if self.policy.fifo_order
             else self.policy.selection_order(self._messages)
         )
-        for message in source:
-            if len(result) >= count:
-                break
-            result.append(message)
-        return result
+        return list(islice(source, count))
 
     def peek_all(self, now: Optional[float] = None) -> List[DataMessage]:
         """All queued messages in service order, without removing them."""

@@ -6,14 +6,38 @@ only if it is stronger than every overlapping interferer by at least the
 capture threshold (6 dB by default).  Frames on different spreading factors
 are treated as orthogonal (the quasi-orthogonality approximation; adequate
 here because the evaluation uses a single SF).
+
+:class:`CollisionModel` is the one collision registry both simulation engines
+resolve through (behind :class:`~repro.radio.medium.RadioMedium`):
+
+* **Per-(channel, SF) buckets.**  Frames that cannot overlap never meet: a
+  frame lands in the bucket of its channel and spreading factor, in
+  registration order, and a capture check scans only that bucket.
+* **Derived eviction horizon.**  Each bucket remembers the longest frame
+  ever registered in it.  A frame still to be resolved at ``now`` ends at or
+  after ``now`` and lasts at most that long, so it starts at or after
+  ``now - longest``; an entry that ended by then can overlap no such frame,
+  nor any frame registered later.  :meth:`CollisionModel.prune` drops those
+  entries from the front of each bucket by advancing a monotone head
+  pointer, so the scan window stays O(recent frames) without a retention
+  constant.
+* **One scan per frame.**  The overlap scan of a frame is kept and reused
+  by every :meth:`CollisionModel.is_received` query for that frame until the
+  next :meth:`CollisionModel.add`, so the gateway pass and every overhearer
+  of one completed frame share a single scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.phy.constants import CAPTURE_THRESHOLD_DB, SpreadingFactor
+
+#: A bucket is compacted once its head pointer has passed this many entries.
+BUCKET_COMPACT_THRESHOLD = 512
+
+_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -54,34 +78,89 @@ class Transmission:
         return self.start_time < other.end_time and other.start_time < self.end_time
 
 
+#: A registered frame: (start, end, RSSI by receiver, the transmission).
+_Entry = Tuple[float, float, Dict[str, float], Transmission]
+
+
+class _Bucket:
+    """The registered frames of one (channel, SF), oldest live one at ``head``."""
+
+    __slots__ = ("entries", "head", "longest")
+
+    def __init__(self) -> None:
+        self.entries: List[_Entry] = []
+        self.head = 0
+        self.longest = 0.0
+
+
 class CollisionModel:
-    """Registers in-flight transmissions and resolves per-receiver capture."""
+    """The collision registry: registers frames and resolves per-receiver capture."""
 
     def __init__(self, capture_threshold_db: float = CAPTURE_THRESHOLD_DB) -> None:
         if capture_threshold_db < 0:
             raise ValueError("capture threshold must be non-negative")
         self.capture_threshold_db = capture_threshold_db
-        self._active: List[Transmission] = []
+        self._buckets: Dict[Tuple[int, int], _Bucket] = {}
+        # The last overlap scan: the frame it was made for and the RSSI maps
+        # of the frames overlapping it.
+        self._scanned: Optional[Transmission] = None
+        self._overlaps: List[Dict[str, float]] = []
 
     def __len__(self) -> int:
-        return len(self._active)
-
-    @property
-    def active_transmissions(self) -> List[Transmission]:
-        """A copy of the transmissions currently registered."""
-        return list(self._active)
+        """Number of frames currently registered."""
+        return sum(len(b.entries) - b.head for b in self._buckets.values())
 
     def add(self, transmission: Transmission) -> None:
         """Register a new frame on the air."""
-        self._active.append(transmission)
+        key = (transmission.channel, int(transmission.spreading_factor))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _Bucket()
+        bucket.entries.append(
+            (
+                transmission.start_time,
+                transmission.end_time,
+                transmission.rssi_by_receiver,
+                transmission,
+            )
+        )
+        if transmission.duration > bucket.longest:
+            bucket.longest = transmission.duration
+        self._scanned = None
 
-    def expire(self, now: float) -> None:
-        """Drop transmissions that ended strictly before ``now``."""
-        self._active = [t for t in self._active if t.end_time > now]
+    def prune(self, now: float) -> None:
+        """Drop the frames that can no longer overlap a frame ending at or after ``now``.
 
-    def interferers(self, transmission: Transmission) -> List[Transmission]:
-        """All registered frames that overlap ``transmission`` (excluding itself)."""
-        return [t for t in self._active if t is not transmission and t.overlaps(transmission)]
+        An entry goes once ``end_time <= now - longest`` for its bucket's
+        longest frame; eviction stops at the first entry that is still live,
+        so a bucket only ever loses a prefix of its registration order.
+        """
+        for bucket in self._buckets.values():
+            limit = now - bucket.longest
+            entries = bucket.entries
+            head = bucket.head
+            while head < len(entries) and entries[head][1] <= limit:
+                head += 1
+            if head > BUCKET_COMPACT_THRESHOLD:
+                del entries[:head]
+                head = 0
+            bucket.head = head
+
+    def _scan(self, transmission: Transmission) -> List[Dict[str, float]]:
+        """RSSI maps of every registered frame overlapping ``transmission``."""
+        overlaps: List[Dict[str, float]] = []
+        bucket = self._buckets.get(
+            (transmission.channel, int(transmission.spreading_factor))
+        )
+        if bucket is not None:
+            start = transmission.start_time
+            end = transmission.end_time
+            for other_start, other_end, rssi_map, other in bucket.entries[bucket.head :]:
+                if other_start < end and start < other_end and other is not transmission:
+                    overlaps.append(rssi_map)
+        self._scanned = transmission
+        self._overlaps = overlaps
+        return overlaps
 
     def is_received(self, transmission: Transmission, receiver: str) -> bool:
         """Decide whether ``receiver`` decodes ``transmission`` despite interference.
@@ -91,18 +170,18 @@ class CollisionModel:
         receiver by at least the capture threshold.
         """
         rssi = transmission.rssi_by_receiver.get(receiver)
-        if rssi is None or rssi == float("-inf"):
+        if rssi is None or rssi == _NEG_INF:
             return False
-        for other in self.interferers(transmission):
-            other_rssi = other.rssi_by_receiver.get(receiver)
-            if other_rssi is None or other_rssi == float("-inf"):
+        overlaps = (
+            self._overlaps
+            if transmission is self._scanned
+            else self._scan(transmission)
+        )
+        threshold = self.capture_threshold_db
+        for other_rssi_map in overlaps:
+            other_rssi = other_rssi_map.get(receiver)
+            if other_rssi is None or other_rssi == _NEG_INF:
                 continue
-            if rssi - other_rssi < self.capture_threshold_db:
+            if rssi - other_rssi < threshold:
                 return False
         return True
-
-    def survivors(self, receiver: str, now: Optional[float] = None) -> List[Transmission]:
-        """Transmissions decodable at ``receiver`` among those currently registered."""
-        if now is not None:
-            self.expire(now)
-        return [t for t in self._active if self.is_received(t, receiver)]

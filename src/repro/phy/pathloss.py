@@ -43,11 +43,15 @@ class PathLossModel(ABC):
     ) -> float:
         """Received power = TX power − path loss − (optional) shadowing."""
         loss = self.path_loss_db(distance_m)
-        shadow = self.shadowing_db(rng)
-        return tx_power_dbm - loss - shadow
+        if rng is None:
+            return tx_power_dbm - loss
+        return tx_power_dbm - loss - self.shadowing_db(rng)
 
     def shadowing_db(self, rng: Optional[np.random.Generator]) -> float:
-        """Shadowing sample in dB; zero unless the model defines one and an RNG is given."""
+        """Shadowing sample in dB; zero unless the model defines one and an RNG is given.
+
+        :meth:`received_power_dbm` does not call it without an RNG.
+        """
         return 0.0
 
     def path_loss_db_batch(self, distances_m: np.ndarray) -> np.ndarray:

@@ -3,23 +3,17 @@
 :class:`~repro.radio.config.RadioConfig` describes a scenario's channel plan
 and spreading-factor policy, :mod:`~repro.radio.sf_policy` allocates per-device
 (SF, channel) assignments, and :class:`~repro.radio.medium.RadioMedium` is the
-shared medium the simulation engine transmits through: per-SF airtime and
-sensitivity, the same-SF/same-channel collision+capture model, and collision
-registry pruning.
+shared medium both simulation engines transmit through: per-SF airtime and
+sensitivity, the same-SF/same-channel collision+capture model, and eviction
+of frames that can no longer collide.
 """
 
 from repro.radio.config import MAX_EU868_UPLINK_CHANNELS, SF_POLICIES, RadioConfig
-from repro.radio.medium import (
-    COLLISION_RETENTION_S,
-    PRUNE_THRESHOLD,
-    RadioMedium,
-)
+from repro.radio.medium import RadioMedium
 from repro.radio.sf_policy import RadioAssignment, allocate_radio, distance_based_sf
 
 __all__ = [
-    "COLLISION_RETENTION_S",
     "MAX_EU868_UPLINK_CHANNELS",
-    "PRUNE_THRESHOLD",
     "RadioAssignment",
     "RadioConfig",
     "RadioMedium",

@@ -14,8 +14,12 @@ scenarios can vary the radio layer without touching the event loop:
   interfere (strongest survives given a 6 dB capture margin), cross-SF and
   cross-channel frames are orthogonal
   (:class:`~repro.phy.collision.CollisionModel`);
-* registry hygiene: expired transmissions are pruned once the registry grows
-  past a threshold, bounding memory and interference-scan cost.
+* registry hygiene: :meth:`RadioMedium.prune` evicts every frame that can no
+  longer overlap a frame still to be resolved, bounding memory and
+  interference-scan cost.
+
+Both simulation engines transmit, resolve and prune through this one medium,
+so the collision registry has a single implementation.
 
 The medium also owns the reception random stream; the draw order is part of
 the seed-equivalence contract with the pre-refactor engine, so
@@ -27,7 +31,7 @@ link-quality draw).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Container, Dict, Mapping, Optional
+from typing import Container, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,13 +40,6 @@ from repro.phy.collision import CollisionModel, Transmission
 from repro.phy.constants import MAX_PHY_PAYLOAD_BYTES, SpreadingFactor
 from repro.phy.link import LinkQualityEstimator
 from repro.radio.config import RadioConfig
-
-#: Transmissions older than this are dropped from the collision registry.
-#: Far longer than any frame (SF12 airtime for a full payload is ~9 s).
-COLLISION_RETENTION_S = 10.0
-
-#: Registry size above which completions trigger an opportunistic prune.
-PRUNE_THRESHOLD = 64
 
 #: Symbol times above this engage the LoRa low-data-rate optimisation
 #: (Semtech AN1200.13: mandatory for symbol durations exceeding 16 ms,
@@ -59,16 +56,8 @@ class RadioMedium:
         reception_rng: Optional[np.random.Generator] = None,
         parameters: LoRaTransmissionParameters = LoRaTransmissionParameters(),
         capture_threshold_db: Optional[float] = None,
-        retention_s: float = COLLISION_RETENTION_S,
-        prune_threshold: int = PRUNE_THRESHOLD,
     ) -> None:
-        if retention_s <= 0:
-            raise ValueError(f"retention_s must be positive, got {retention_s}")
-        if prune_threshold < 0:
-            raise ValueError("prune_threshold must be non-negative")
         self.config = config
-        self.retention_s = retention_s
-        self.prune_threshold = prune_threshold
         self._reception_rng = reception_rng
         self._parameters = parameters
         self.collisions = (
@@ -78,16 +67,7 @@ class RadioMedium:
         )
         self._airtime_by_sf: Dict[SpreadingFactor, AirtimeCalculator] = {}
         self._quality_by_sf: Dict[SpreadingFactor, LinkQualityEstimator] = {}
-
-    @property
-    def reception_rng(self) -> Optional[np.random.Generator]:
-        """The reception random stream.
-
-        Exposed for engines that replicate the resolution order of
-        :meth:`resolve_gateway_reception` themselves — the draw sequence from
-        this stream is part of the seed-equivalence contract.
-        """
-        return self._reception_rng
+        self._airtime_cache: Dict[Tuple[int, SpreadingFactor], float] = {}
 
     # ------------------------------------------------------------------ #
     # Per-SF radio parameters
@@ -110,8 +90,13 @@ class RadioMedium:
         spreading_factor: SpreadingFactor = SpreadingFactor.SF7,
     ) -> float:
         """Time on air of a frame, payload clamped to the LoRa maximum."""
-        calculator = self.airtime_calculator(spreading_factor)
-        return calculator.time_on_air_s(min(payload_bytes, MAX_PHY_PAYLOAD_BYTES))
+        key = (payload_bytes, spreading_factor)
+        airtime = self._airtime_cache.get(key)
+        if airtime is None:
+            calculator = self.airtime_calculator(spreading_factor)
+            airtime = calculator.time_on_air_s(min(payload_bytes, MAX_PHY_PAYLOAD_BYTES))
+            self._airtime_cache[key] = airtime
+        return airtime
 
     def link_quality(self, spreading_factor: SpreadingFactor) -> LinkQualityEstimator:
         """The (cached) sensitivity-based reception estimator for ``spreading_factor``."""
@@ -134,11 +119,13 @@ class RadioMedium:
         channel: int = 0,
         airtime_s: Optional[float] = None,
     ) -> Transmission:
-        """Put a frame on the air and return its registered transmission.
+        """Put a frame on the air and return its transmission.
 
         ``airtime_s`` lets a caller that already computed the frame duration
         (for duty-cycle accounting) reuse it, so the scheduled completion
-        time and the registered occupancy cannot diverge.
+        time and the registered occupancy cannot diverge.  Only a frame that
+        some receiver hears is registered: an unheard frame has no RSSI
+        entry anywhere, so it is never received and never interferes.
         """
         if airtime_s is None:
             airtime_s = self.airtime_s(payload_bytes, spreading_factor)
@@ -150,7 +137,8 @@ class RadioMedium:
             spreading_factor=spreading_factor,
             rssi_by_receiver=dict(rssi_by_receiver),
         )
-        self.collisions.add(transmission)
+        if transmission.rssi_by_receiver:
+            self.collisions.add(transmission)
         return transmission
 
     def is_decodable(self, transmission: Transmission, receiver: str) -> bool:
@@ -161,14 +149,6 @@ class RadioMedium:
         same-SF collision without capture destroys it.
         """
         return self.collisions.is_received(transmission, receiver)
-
-    def frame_received(self, transmission: Transmission, receiver: str) -> bool:
-        """Full reception verdict: capture check plus the sensitivity draw."""
-        if not self.collisions.is_received(transmission, receiver):
-            return False
-        rssi = transmission.rssi_by_receiver[receiver]
-        quality = self.link_quality(transmission.spreading_factor)
-        return quality.frame_received(rssi, self._reception_rng)
 
     def resolve_gateway_reception(
         self, transmission: Transmission, gateway_ids: Container[str]
@@ -196,13 +176,12 @@ class RadioMedium:
     # Registry hygiene
     # ------------------------------------------------------------------ #
     def prune(self, now: float) -> None:
-        """Opportunistically drop transmissions past the retention window.
+        """Evict the frames that can no longer overlap one resolved at or after ``now``.
 
-        Cheap to call on every completion: nothing happens until the registry
-        outgrows ``prune_threshold``.
+        Cheap to call on every completion: only the evicted frames and one
+        check per (channel, SF) bucket are touched.
         """
-        if len(self.collisions) > self.prune_threshold:
-            self.collisions.expire(now - self.retention_s)
+        self.collisions.prune(now)
 
     def __len__(self) -> int:
         """Number of transmissions currently registered."""

@@ -80,8 +80,8 @@ class ROBCScheme(ForwardingScheme):
 
         ROBC reads only the receiver's queue/estimator and the packet
         snapshot, so decisions are independent across the receivers of one
-        transmission — exactly the batch-hook contract.  The sender's ϕ is
-        clamped once per batch; each receiver's ϕ and the backpressure
+        transmission — exactly the batch-hook contract.  The sender's ϕ and
+        ``Q_y/ϕ_y`` are computed once per batch; each receiver's ϕ and the backpressure
         weight/δ are computed inline in the identical operation order as
         :func:`~repro.core.robc.robc_transfer_amount`, which keeps the
         verdicts bit-identical to the scalar path.
@@ -98,6 +98,7 @@ class ROBCScheme(ForwardingScheme):
             else min(max(1.0 / neighbour_metric, phi_min), phi_max)
         )
         neighbour_q = float(neighbour_queue)
+        neighbour_pressure = neighbour_q / phi_neighbour
         max_handover = self.max_handover_messages
         is_connected = capacity_model.is_connected
         floor = math.floor
@@ -118,7 +119,7 @@ class ROBCScheme(ForwardingScheme):
                 else min(max(1.0 / own_metric, phi_min), phi_max)
             )
             own_q = float(own_queue)
-            if own_q / phi_own - neighbour_q / phi_neighbour <= 0:
+            if own_q / phi_own - neighbour_pressure <= 0:
                 append(NO_DECISION)
                 continue
             delta = own_q - neighbour_q * (phi_own / phi_neighbour)

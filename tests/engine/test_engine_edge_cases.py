@@ -155,7 +155,7 @@ class TestStaticNodeExactlyAtRange:
             0,
             scenario.devices["bus-000"],
             0.0,
-            Point(0.0, 0.0),
+            (0.0, 0.0),
             rssi_by_receiver,
             overhearers,
         )

@@ -5,7 +5,8 @@ matrix, with same-sized temporaries, on every tick.  The static gateway grid
 replaced it; this test keeps it from coming back.  ``tracemalloc`` counts
 NumPy buffers too, so the measurement is deterministic: no wall-clock, no
 RSS.  The retry chains' look-ahead table is held to one byte per (tick,
-device).
+device), and the per-tick candidacy kept beside it for ``_refresh_tick`` to
+a few bytes per (tick, device), released as the ticks are refreshed.
 """
 
 import sys
@@ -32,6 +33,7 @@ def test_init_and_tick_candidacy_never_allocate_a_fleet_by_gateway_matrix():
     try:
         sim = ArrayMLoRaSimulation(scenario)
         retained, init_peak = tracemalloc.get_traced_memory()
+        held = sum(ptr.nbytes + gw.nbytes for ptr, gw in sim._tick_candidacy.values())
         tracemalloc.reset_peak()
         for tick in range(n_ticks):
             sim._refresh_tick(tick)
@@ -40,6 +42,9 @@ def test_init_and_tick_candidacy_never_allocate_a_fleet_by_gateway_matrix():
         tracemalloc.stop()
 
     assert sim._current_tick == n_ticks - 1
+    # The kept candidacy: 32-bit CSR rows, all taken by the refreshes.
+    assert len(sim._tick_candidacy) == 0
+    assert held <= 8 * (n_ticks * (n_devices + 1))
     # Memory allocated and freed again, above what stays allocated.
     assert init_peak - retained < dense_bytes
     assert tick_peak - retained < dense_bytes

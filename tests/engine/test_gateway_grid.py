@@ -1,9 +1,11 @@
-"""The array engine's static gateway grid and speed margins.
+"""The array engine's static gateway grid, speed margins and tick tables.
 
 ``GatewayGrid.candidates`` replaces a dense ``(n_devices, n_gateways)``
 squared-distance mask, so it must give exactly that mask's rows, in gateway
-insertion order, on any layout.  ``max_segment_speeds`` replaces a per-trace
-loop and must give its maxima exactly.
+insertion order, on any layout.  ``max_segment_speeds`` and
+``tick_positions`` replace per-trace loops and must give their values
+exactly.  The per-tick overhear candidacy must hold every neighbour the
+oracle's range query can report at any instant of the tick.
 """
 
 import math
@@ -13,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config_fields import replace_fields
 from repro.engine.array_engine import (
     ArrayMLoRaSimulation,
     GatewayGrid,
     max_segment_speeds,
+    tick_positions,
 )
 from repro.experiments.registry import get_preset
 from repro.experiments.scenario import build_scenario
+from repro.mobility.geometry import Point
 from repro.mobility.trace import MobilityTrace
 from repro.network.spatial import RANGE_MASK_SLACK_M
 
@@ -84,6 +89,19 @@ class TestGatewayGrid:
         ptr, gw = grid.candidates(px, py, reach_sq)
         assert ptr.shape == (len(devices) + 1,)
         assert csr_rows(ptr, gw) == dense_rows(gx, gy, px, py, reach_sq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cases())
+    def test_block_pairs_hold_every_pair_within_the_grid_reach_once(self, case):
+        max_reach, gateways, devices, _ = case
+        gx, gy = _xy(gateways)
+        px, py = _xy(devices)
+        grid = GatewayGrid(gx, gy, max_reach)
+        dev, gw = grid.block_pairs(px, py)
+        pairs = list(zip(dev.tolist(), gw.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        in_reach = dense_rows(gx, gy, px, py, np.full(px.size, max_reach * max_reach))
+        assert {(i, g) for i, row in enumerate(in_reach) for g in row} <= set(pairs)
 
     def test_zero_gateways_give_no_candidates(self):
         grid = GatewayGrid(np.empty(0), np.empty(0), 1000.0)
@@ -162,3 +180,82 @@ class TestMaxSegmentSpeeds:
     def test_equals_the_per_trace_loop_for_any_block_size(self, fleet, chunk):
         expected = [_loop_max_speed(trace) for trace in fleet]
         assert max_segment_speeds(fleet, chunk).tolist() == expected
+
+
+def _loop_tick_positions(fleet, tick_times):
+    """The per-trace loop ``tick_positions`` replaced."""
+    tick_x = np.empty((tick_times.size, len(fleet)))
+    tick_y = np.empty((tick_times.size, len(fleet)))
+    for i, trace in enumerate(fleet):
+        clamped = np.clip(tick_times, trace.start_time, trace.end_time)
+        positions = trace.positions_at(clamped)
+        tick_x[:, i] = positions[:, 0]
+        tick_y[:, i] = positions[:, 1]
+    return tick_x, tick_y
+
+
+@st.composite
+def static_traces(draw):
+    coord = st.floats(-1e5, 1e5)
+    start = draw(st.floats(0.0, 1000.0))
+    end = draw(st.just(math.inf) | st.floats(start + 0.01, start + 2000.0))
+    return MobilityTrace.static(Point(draw(coord), draw(coord)), start=start, end=end)
+
+
+class TestTickPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(traces() | static_traces(), min_size=1, max_size=12),
+        st.integers(1, 40),
+        st.integers(1, 30),
+        st.sampled_from([0.5, 7.0, 30.0, 250.0]),
+    )
+    def test_equals_the_per_trace_loop_bit_for_bit(self, fleet, chunk, n_ticks, tick_s):
+        tick_times = np.arange(n_ticks, dtype=float) * tick_s
+        tick_x, tick_y = tick_positions(fleet, tick_times, chunk)
+        expected_x, expected_y = _loop_tick_positions(fleet, tick_times)
+        assert tick_x.tobytes() == expected_x.tobytes()
+        assert tick_y.tobytes() == expected_y.tobytes()
+
+
+class TestOverhearCandidacy:
+    @pytest.mark.parametrize(
+        "preset, changes",
+        [
+            ("urban-smoke", {}),
+            (
+                "urban",
+                {"duration_s": 900.0, "radio.num_channels": 2, "radio.sf_policy": "random"},
+            ),
+        ],
+    )
+    def test_every_neighbour_at_any_instant_is_a_candidate(self, preset, changes):
+        config = replace_fields(get_preset(preset).config, changes)
+        scenario = build_scenario(config)
+        topology = scenario.topology
+        sim = ArrayMLoRaSimulation(scenario)
+        devices = sim._devices
+        index_of = sim._index_of
+        tick_s = config.engine.tick_s
+        rng = np.random.default_rng(5)
+        n_ticks = int(config.duration_s // tick_s) + 1
+        checked = 0
+        for tick in range(n_ticks):
+            sim._refresh_tick(tick)
+            ptr = sim._tick_rx_ptr
+            for now in tick * tick_s + rng.uniform(0.0, tick_s, size=3):
+                for i, device in enumerate(devices):
+                    if not sim._trace_start[i] <= now <= sim._trace_end[i]:
+                        continue
+                    candidates = set(sim._tick_rx[ptr[i] : ptr[i + 1]])
+                    for neighbour_id, _ in topology.neighbours(device.device_id, now):
+                        neighbour = scenario.devices[neighbour_id]
+                        if not (
+                            neighbour.channel == device.channel
+                            and neighbour.spreading_factor == device.spreading_factor
+                            and neighbour.device_class.overhears_devices
+                        ):
+                            continue
+                        assert index_of[neighbour_id] in candidates
+                        checked += 1
+        assert checked > 0

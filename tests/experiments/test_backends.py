@@ -259,6 +259,12 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0.0)
 
+    @pytest.mark.parametrize("field", ["timeout_s", "backoff_base_s", "backoff_cap_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
     def test_backoff_is_bounded(self):
         policy = RetryPolicy(retries=8, backoff_base_s=1.0, backoff_cap_s=4.0)
         delays = [policy.delay_for(attempt) for attempt in range(1, 9)]

@@ -346,6 +346,37 @@ class TestCampaignFlags:
         assert main(["worker", str(tmp_path), "--idle-timeout", "0"]) == 2
         assert "--idle-timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--idle-timeout", "nan"),
+            ("--idle-timeout", "inf"),
+            ("--poll", "nan"),
+            ("--poll", "inf"),
+            ("--poll", "-1"),
+        ],
+    )
+    def test_worker_non_finite_flags_fail_cleanly(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        # A NaN idle timeout never fires, so a started worker would never exit.
+        def never_started(*args, **kwargs):
+            raise AssertionError("the worker started")
+
+        monkeypatch.setattr("repro.experiments.cli.run_worker", never_started)
+        assert main(["worker", str(tmp_path / "spool"), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_non_finite_timeout_fails_before_running(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(
+            ["run", "urban-smoke", "--timeout", "nan", "--cache", str(cache)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "timeout" in captured.err
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.rglob("*.pkl"))
+
     def test_work_queue_without_spool_fails_cleanly(self, capsys):
         assert main(["run", "urban-smoke", "--backend", "work-queue"]) == 2
         assert "spool" in capsys.readouterr().err

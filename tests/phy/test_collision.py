@@ -1,9 +1,15 @@
 """Unit tests for the collision/capture model."""
 
-import pytest
+import heapq
 
-from repro.phy.collision import CollisionModel, Transmission
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.phy.collision import BUCKET_COMPACT_THRESHOLD, CollisionModel, Transmission
 from repro.phy.constants import SpreadingFactor
+
+NEG_INF = float("-inf")
 
 
 def _tx(sender, start, duration, rssi, channel=0, sf=SpreadingFactor.SF7):
@@ -100,20 +106,128 @@ class TestCollisionModel:
         model.add(b)
         assert model.is_received(a, "gw")
 
-    def test_expire_drops_old_transmissions(self):
+    def test_prune_drops_frames_past_the_bucket_horizon(self):
         model = CollisionModel()
         model.add(_tx("a", 0.0, 1.0, {"gw": -90.0}))
         model.add(_tx("b", 5.0, 1.0, {"gw": -90.0}))
-        model.expire(3.0)
-        assert len(model.active_transmissions) == 1
+        # The longest frame lasts 1 s: at now=2 a frame still to be resolved
+        # starts at or after 1, where ``a`` has ended.
+        model.prune(2.0)
+        assert len(model) == 1
+        model.prune(1.9)
+        assert len(model) == 1
 
-    def test_survivors_filters_by_receiver(self):
+    def test_back_to_back_frames_do_not_collide(self):
         model = CollisionModel()
         a = _tx("a", 0.0, 1.0, {"gw": -90.0})
+        b = _tx("b", 1.0, 1.0, {"gw": -90.0})
         model.add(a)
-        assert model.survivors("gw") == [a]
-        assert model.survivors("nobody") == []
+        model.add(b)
+        assert model.is_received(a, "gw")
+        assert model.is_received(b, "gw")
+
+    def test_query_after_an_overlapping_add_rescans(self):
+        model = CollisionModel()
+        a = _tx("a", 0.0, 2.0, {"gw": -90.0})
+        model.add(a)
+        assert model.is_received(a, "gw")
+        model.add(_tx("b", 1.0, 2.0, {"gw": -91.0}))
+        assert not model.is_received(a, "gw")
+
+    def test_buckets_compact_without_losing_live_frames(self):
+        model = CollisionModel()
+        count = 2 * BUCKET_COMPACT_THRESHOLD
+        for i in range(count):
+            model.add(_tx(f"d{i}", float(i), 1.0, {"gw": -90.0}))
+        last = _tx("last", float(count), 1.0, {"gw": -90.0})
+        model.add(last)
+        model.prune(last.end_time)
+        assert len(model) == 1
+        assert model.is_received(last, "gw")
 
     def test_negative_capture_threshold_rejected(self):
         with pytest.raises(ValueError):
             CollisionModel(capture_threshold_db=-1.0)
+
+
+def _reference_is_received(registered, transmission, receiver, threshold):
+    """Brute-force capture verdict: a linear scan of every frame ever added."""
+    rssi = transmission.rssi_by_receiver.get(receiver)
+    if rssi is None or rssi == NEG_INF:
+        return False
+    for other in registered:
+        if other is transmission or not other.overlaps(transmission):
+            continue
+        other_rssi = other.rssi_by_receiver.get(receiver)
+        if other_rssi is None or other_rssi == NEG_INF:
+            continue
+        if rssi - other_rssi < threshold:
+            return False
+    return True
+
+
+RECEIVERS = ("r0", "r1", "r2")
+
+_frames = st.lists(
+    st.tuples(
+        st.integers(0, 40).map(lambda q: q / 2),  # start, on a 0.5 s grid
+        st.integers(1, 50).map(lambda q: q / 2),  # duration, up to 25 s
+        st.integers(0, 2),  # channel
+        st.sampled_from(list(SpreadingFactor)),
+        st.dictionaries(
+            st.sampled_from(RECEIVERS),
+            st.one_of(st.integers(-130, -60).map(float), st.just(NEG_INF)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestRegistryMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(frames=_frames, threshold=st.sampled_from([0.0, 6.0]))
+    def test_every_verdict_matches_the_reference(self, frames, threshold):
+        """Replay frames as the engines do and check every verdict.
+
+        Frames are added at their start and resolved at their end (a
+        completion sorts before an add at the same time), with a prune after
+        each resolution.  At every add, a live frame is queried before it, so
+        its scan is shared, and every frame not yet ended before ``now`` is
+        queried after it, so the new frame must invalidate that scan.
+        """
+        transmissions = [
+            _tx(f"d{i}", start, duration, rssi, channel=channel, sf=sf)
+            for i, (start, duration, channel, sf, rssi) in enumerate(
+                sorted(frames, key=lambda frame: frame[0])
+            )
+        ]
+        events = []
+        for order, t in enumerate(transmissions):
+            events.append((t.start_time, 1, order, t))
+            events.append((t.end_time, 0, order, t))
+        heapq.heapify(events)
+        model = CollisionModel(capture_threshold_db=threshold)
+        registered = []
+        live = []
+
+        def check(transmission):
+            for receiver in RECEIVERS + ("absent",):
+                assert model.is_received(transmission, receiver) == (
+                    _reference_is_received(registered, transmission, receiver, threshold)
+                ), (transmission, receiver)
+
+        while events:
+            now, kind, _, transmission = heapq.heappop(events)
+            if kind == 0:  # completion
+                check(transmission)
+                live.remove(transmission)
+                model.prune(now)
+                continue
+            if live:
+                check(live[0])
+            model.add(transmission)
+            registered.append(transmission)
+            live.append(transmission)
+            for other in registered:
+                if other.end_time >= now:
+                    check(other)

@@ -6,7 +6,7 @@ import pytest
 from repro.phy.airtime import AirtimeCalculator, LoRaTransmissionParameters
 from repro.phy.constants import SENSITIVITY_DBM, SpreadingFactor
 from repro.radio.config import RadioConfig
-from repro.radio.medium import COLLISION_RETENTION_S, PRUNE_THRESHOLD, RadioMedium
+from repro.radio.medium import RadioMedium
 
 
 def make_medium(**kwargs) -> RadioMedium:
@@ -58,11 +58,11 @@ class TestPerSfSensitivity:
         rssi = -130.0  # below SF7 sensitivity, above SF12's
         sf7 = medium.transmit("a", 0.0, 20, {"gw": rssi}, SpreadingFactor.SF7, 0)
         sf12 = medium.transmit("b", 100.0, 20, {"gw": rssi}, SpreadingFactor.SF12, 0)
-        assert not medium.frame_received(sf7, "gw")
+        assert medium.resolve_gateway_reception(sf7, {"gw"}) is None
         # Probability 1 region for SF12 (sensitivity -137, margin 10 → sure
         # above -127)?  -130 is inside the ramp, so force the deterministic
         # threshold path (no RNG → p >= 0.5 decides).
-        assert medium.frame_received(sf12, "gw")
+        assert medium.resolve_gateway_reception(sf12, {"gw"}) == "gw"
 
 
 class TestOrthogonality:
@@ -146,36 +146,63 @@ class TestGatewayResolution:
 
 
 class TestRegistryPruning:
-    def test_prune_is_a_noop_below_the_threshold(self):
+    def test_frame_dropped_only_once_it_can_no_longer_overlap(self):
         medium = make_medium()
-        for i in range(PRUNE_THRESHOLD):
-            medium.transmit(f"d{i}", 0.0, 20, {"gw": -60.0})
-        medium.prune(now=1e9)
-        assert len(medium) == PRUNE_THRESHOLD
-
-    def test_old_transmissions_dropped_after_the_retention_window(self):
-        medium = make_medium()
-        airtime = medium.airtime_s(20)
-        for i in range(PRUNE_THRESHOLD + 10):
-            medium.transmit(f"old-{i}", float(i) * 0.001, 20, {"gw": -60.0})
-        last_end = (PRUNE_THRESHOLD + 9) * 0.001 + airtime
-        # Just inside the retention window: everything is kept...
-        medium.prune(now=last_end + COLLISION_RETENTION_S - 0.5)
-        assert len(medium) == PRUNE_THRESHOLD + 10
-        # ...and once the window has passed, the registry empties.
-        medium.prune(now=last_end + COLLISION_RETENTION_S + 0.5)
+        short = medium.transmit("short", 0.0, 20, {"gw": -60.0})
+        longest = medium.transmit("long", 0.0, 255, {"gw": -60.0})
+        horizon = longest.duration
+        # A frame ending at ``now`` may have started ``horizon`` earlier, so
+        # ``short`` is kept until its end falls that far behind...
+        medium.prune(now=short.end_time + horizon - 1e-6)
+        assert len(medium) == 2
+        # ...and dropped once it does.
+        medium.prune(now=short.end_time + horizon)
+        assert len(medium) == 1
+        medium.prune(now=longest.end_time + horizon)
         assert len(medium) == 0
 
     def test_live_transmissions_survive_a_prune(self):
         medium = make_medium()
-        for i in range(PRUNE_THRESHOLD + 1):
+        for i in range(100):
             medium.transmit(f"old-{i}", 0.0, 20, {"gw": -60.0})
         fresh = medium.transmit("fresh", 1000.0, 20, {"gw": -60.0})
-        medium.prune(now=1000.0 + COLLISION_RETENTION_S)
-        assert medium.collisions.active_transmissions == [fresh]
+        medium.prune(now=fresh.end_time)
+        assert len(medium) == 1
+        assert medium.is_decodable(fresh, "gw")
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RadioMedium(retention_s=0.0)
-        with pytest.raises(ValueError):
-            RadioMedium(prune_threshold=-1)
+    def test_horizon_is_per_bucket(self):
+        medium = make_medium()
+        medium.transmit("slow", 0.0, 255, {"gw": -60.0}, SpreadingFactor.SF12)
+        fast = medium.transmit("fast", 0.0, 20, {"gw": -60.0}, SpreadingFactor.SF7)
+        # An SF12 frame lasts seconds; it holds back only its own bucket.
+        medium.prune(now=2 * fast.duration)
+        assert len(medium) == 1
+
+    def test_unheard_frames_are_not_registered(self):
+        medium = make_medium()
+        transmission = medium.transmit("a", 0.0, 20, {})
+        assert len(medium) == 0
+        assert not medium.is_decodable(transmission, "gw")
+        assert medium.resolve_gateway_reception(transmission, {"gw"}) is None
+
+    def test_long_frame_keeps_its_interferers_until_it_ends(self):
+        # At 62.5 kHz a full SF12 frame lasts 18.04 s, longer than any fixed
+        # retention window sized for 125 kHz frames.
+        medium = RadioMedium(
+            parameters=LoRaTransmissionParameters(bandwidth_hz=62500.0)
+        )
+        frame = medium.transmit("long", 0.0, 255, {"gw": -60.0}, SpreadingFactor.SF12)
+        assert frame.end_time == pytest.approx(18.04, abs=0.01)
+        interferer = medium.transmit(
+            "short", 0.5, 10, {"gw": -60.0}, SpreadingFactor.SF12
+        )
+        assert interferer.end_time == pytest.approx(2.48, abs=0.01)
+        for i in range(65):
+            medium.transmit(
+                f"sf7-{i}", 0.01 * i, 20, {"gw": -60.0}, SpreadingFactor.SF7, 1
+            )
+        assert not medium.is_decodable(frame, "gw")
+        # Still on air ten seconds after the interferer ended: the verdict
+        # must not change.
+        medium.prune(now=12.98)
+        assert not medium.is_decodable(frame, "gw")
