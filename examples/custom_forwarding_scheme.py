@@ -19,6 +19,8 @@ Usage::
     PYTHONPATH=src python examples/custom_forwarding_scheme.py
 """
 
+from typing import List, Sequence
+
 from repro.experiments import ScenarioConfig, run_scenario
 from repro.experiments.runner import MLoRaSimulation
 from repro.experiments.scenario import build_scenario
@@ -46,23 +48,30 @@ class ConservativeHandover(ForwardingScheme):
         self.advantage_factor = advantage_factor
         self.max_neighbour_queue = max_neighbour_queue
 
-    def on_overhear(
+    def on_overhear_batch(
         self,
-        receiver: EndDevice,
         packet: UplinkPacket,
-        link_rssi_dbm: float,
+        receivers: Sequence[EndDevice],
+        rssi_dbm: Sequence[float],
         capacity_model: LinkCapacityModel,
         now: float,
-    ) -> ForwardingDecision:
+    ) -> List[ForwardingDecision]:
+        # One decision per overhearer of ``packet``.  Each reads only its own
+        # receiver and the packet, which is the hook's contract: the engine
+        # may run the handovers after deciding the whole batch.
         if packet.rca_etx_s is None or packet.queue_length is None:
-            return ForwardingDecision.no()
-        if not receiver.has_data():
-            return ForwardingDecision.no()
+            return [ForwardingDecision.no()] * len(receivers)
         if packet.queue_length > self.max_neighbour_queue:
-            return ForwardingDecision.no()
-        if receiver.rca_etx.sink_metric() < self.advantage_factor * packet.rca_etx_s:
-            return ForwardingDecision.no()
-        return ForwardingDecision(forward=True, message_limit=min(6, receiver.queue_length()))
+            return [ForwardingDecision.no()] * len(receivers)
+        threshold = self.advantage_factor * packet.rca_etx_s
+        decisions = []
+        for receiver in receivers:
+            if receiver.has_data() and receiver.rca_etx.sink_metric() >= threshold:
+                limit = min(6, receiver.queue_length())
+                decisions.append(ForwardingDecision(forward=True, message_limit=limit))
+            else:
+                decisions.append(ForwardingDecision.no())
+        return decisions
 
 
 def run_with_scheme(config: ScenarioConfig, scheme: ForwardingScheme):

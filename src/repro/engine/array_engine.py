@@ -61,10 +61,11 @@ around array-shaped state:
   the tick (device range plus both margins, overhear-capable, same channel
   and SF, active in the tick); survivors are recomputed scalar-exactly
   with the oracle's arithmetic, in the oracle's device order.  Forwarding
-  verdicts then go through :meth:`~repro.routing.base.ForwardingScheme.
-  on_overhear_batch` — one call per transmission instead of one per
-  overhearer — which is exact because decisions are receiver-local, draw no
-  RNG, and handovers run afterwards in the same receiver order.  Batching
+  verdicts come from one :meth:`~repro.routing.base.ForwardingScheme.
+  on_overhear_batch` call per transmission, and the handovers run
+  afterwards in receiver order; the hook's contract (a transmission's
+  verdicts do not depend on its own handovers) makes that equal to the
+  oracle's one-receiver-at-a-time interleaving.  Batching
   stops at the transmission: batching further across same-time
   transmissions measured no gain worth a second execution order (see
   ``docs/performance.md``).
@@ -456,15 +457,6 @@ class ArrayMLoRaSimulation:
         self._tick_candidacy: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         if self._chain_ok and self._devices:
             self._build_tick_has_gw()
-
-        # Batched forwarding decisions: only schemes that override
-        # ``on_overhear_batch`` take the batch path — the base-class default
-        # would just loop over ``on_overhear`` anyway, so custom registered
-        # schemes keep the exact scalar interleaving they were written for.
-        self._batch_decide = (
-            type(self._scheme).on_overhear_batch
-            is not ForwardingScheme.on_overhear_batch
-        )
 
     # ------------------------------------------------------------------ #
     # Prefilter construction
@@ -1302,37 +1294,19 @@ class ArrayMLoRaSimulation:
     ) -> None:
         """Forwarding decisions + handovers for one completed transmission.
 
-        Schemes that override ``on_overhear_batch`` get all surviving
-        receivers in one call, then the handovers run in the same receiver
-        order the scalar loop used.  Deciding first and handing over after is
-        exact for receiver-local schemes: each receiver appears once per
-        transmission, decisions read only that receiver's state plus the
-        immutable packet snapshot, and no decision consumes RNG — so neither
-        the verdicts nor the draw/push sequence can differ from the
-        interleaved loop.  Schemes that keep the base-class hook take the
-        scalar interleaved path unchanged.
+        Every decodable overhearer goes to the scheme in one
+        ``on_overhear_batch`` call, then the handovers run in receiver order.
+        Deciding first and handing over after is exact under the hook's
+        contract (a transmission's verdicts do not depend on its own
+        handovers), so the verdicts and the draw/push sequence equal the
+        object engine's interleaved loop.
         """
         if not overhearers:
             return
         now = self.now
-        scheme = self._scheme
         devices = self.scenario.devices
         capacity_model = self._cap_models[self._index_of[sender.device_id]]
         is_decodable = self.medium.is_decodable
-        if not self._batch_decide:
-            for neighbour_id, rssi in overhearers.items():
-                if not is_decodable(transmission, neighbour_id):
-                    continue
-                neighbour = devices[neighbour_id]
-                decision = scheme.on_overhear(
-                    neighbour, packet, rssi, capacity_model, now
-                )
-                if not decision.forward:
-                    continue
-                self._perform_handover(
-                    neighbour, sender, decision.message_limit, decision.copy
-                )
-            return
         receivers: List[EndDevice] = []
         rssis: List[float] = []
         for neighbour_id, rssi in overhearers.items():
@@ -1341,7 +1315,7 @@ class ArrayMLoRaSimulation:
                 rssis.append(rssi)
         if not receivers:
             return
-        decisions = scheme.on_overhear_batch(
+        decisions = self._scheme.on_overhear_batch(
             packet, receivers, rssis, capacity_model, now
         )
         for receiver, decision in zip(receivers, decisions):

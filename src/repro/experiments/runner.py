@@ -249,11 +249,16 @@ class MLoRaSimulation:
         now = self.simulator.now
         scheme = self.scenario.scheme
         capacity_model = self.scenario.topology.capacity_model_for(sender.device_id)
+        # One receiver at a time, each handover before the next decision: the
+        # interleaved order the array engine's decide-all-first order is
+        # checked against.
         for neighbour_id, rssi in overhearers.items():
             neighbour = self.scenario.devices[neighbour_id]
             if not self.medium.is_decodable(transmission, neighbour_id):
                 continue
-            decision = scheme.on_overhear(neighbour, packet, rssi, capacity_model, now)
+            (decision,) = scheme.on_overhear_batch(
+                packet, [neighbour], [rssi], capacity_model, now
+            )
             if not decision.forward:
                 continue
             self._perform_handover(neighbour, sender, decision.message_limit, decision.copy)

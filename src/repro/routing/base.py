@@ -63,16 +63,6 @@ class ForwardingScheme(ABC):
     uses_forwarding: bool = True
 
     @abstractmethod
-    def on_overhear(
-        self,
-        receiver: EndDevice,
-        packet: UplinkPacket,
-        link_rssi_dbm: float,
-        capacity_model: LinkCapacityModel,
-        now: float,
-    ) -> ForwardingDecision:
-        """Decide whether ``receiver`` should hand data to the packet's sender."""
-
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -86,22 +76,29 @@ class ForwardingScheme(ABC):
         ``receivers[k]`` overheard ``packet`` at RSSI ``rssi_dbm[k]``; the
         transmitter-side ``capacity_model`` and the completion time ``now``
         are shared by the whole batch.  A receiver appears at most once, and
-        the engine runs the resulting handovers afterwards in receiver
-        order.
+        the result holds one decision per receiver, in receiver order.
 
-        The engine only calls this hook when a scheme overrides it; schemes
-        that do not are driven through :meth:`on_overhear` one receiver at a
-        time, interleaved with the resulting handovers, so custom registered
-        schemes keep working unchanged.  Override it when the scheme's
-        decisions are independent across the receivers of one transmission
-        (true for all built-in schemes); the override must leave scheme
-        state exactly as the equivalent :meth:`on_overhear` loop would.
-        This default implementation is that loop.
+        Contract: a transmission's verdicts must not depend on that
+        transmission's own handovers.  The object engine calls this hook with
+        one receiver at a time and runs each receiver's handover before
+        deciding the next; the array engine decides the whole batch first and
+        then runs the handovers in receiver order.  Both give the same result
+        when a decision reads only the packet snapshot, its own receiver's
+        state and scheme state that handovers do not touch, and consumes no
+        randomness.  A batch of N must also leave the same decisions and
+        scheme state as N one-receiver batches in the same order.
         """
-        return [
-            self.on_overhear(receiver, packet, rssi, capacity_model, now)
-            for receiver, rssi in zip(receivers, rssi_dbm)
-        ]
+
+    def on_overhear(
+        self,
+        receiver: EndDevice,
+        packet: UplinkPacket,
+        link_rssi_dbm: float,
+        capacity_model: LinkCapacityModel,
+        now: float,
+    ) -> ForwardingDecision:
+        """Decide one receiver: a batch of one."""
+        return self.on_overhear_batch(packet, [receiver], [link_rssi_dbm], capacity_model, now)[0]
 
     def observe_transmission_slot(
         self, device_id: str, gateway_connected: bool, now: float

@@ -29,19 +29,6 @@ class EpidemicScheme(ForwardingScheme):
             raise ValueError("max_handover_messages must be positive")
         self.max_handover_messages = max_handover_messages
 
-    def on_overhear(
-        self,
-        receiver: EndDevice,
-        packet: UplinkPacket,
-        link_rssi_dbm: float,
-        capacity_model: LinkCapacityModel,
-        now: float,
-    ) -> ForwardingDecision:
-        if not receiver.has_data():
-            return ForwardingDecision.no()
-        limit = min(self.max_handover_messages, receiver.queue_length())
-        return ForwardingDecision(forward=True, message_limit=limit, copy=True)
-
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -50,8 +37,8 @@ class EpidemicScheme(ForwardingScheme):
         capacity_model: LinkCapacityModel,
         now: float,
     ) -> List[ForwardingDecision]:
-        """Batched :meth:`on_overhear`: epidemic replication reads only each
-        receiver's queue length, so the batch is a plain hoisted loop."""
+        """Replicate up to ``max_handover_messages`` queued messages onto the
+        sender; a decision reads only its receiver's queue length."""
         max_handover = self.max_handover_messages
         decisions: List[ForwardingDecision] = []
         append = decisions.append

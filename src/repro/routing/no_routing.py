@@ -7,10 +7,12 @@ the baseline every figure compares against.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.mac.device import EndDevice
 from repro.mac.frames import UplinkPacket
 from repro.phy.link import LinkCapacityModel
-from repro.routing.base import ForwardingDecision, ForwardingScheme
+from repro.routing.base import NO_DECISION, ForwardingDecision, ForwardingScheme
 
 
 class NoRoutingScheme(ForwardingScheme):
@@ -20,12 +22,12 @@ class NoRoutingScheme(ForwardingScheme):
     requires_queue_length = False
     uses_forwarding = False
 
-    def on_overhear(
+    def on_overhear_batch(
         self,
-        receiver: EndDevice,
         packet: UplinkPacket,
-        link_rssi_dbm: float,
+        receivers: Sequence[EndDevice],
+        rssi_dbm: Sequence[float],
         capacity_model: LinkCapacityModel,
         now: float,
-    ) -> ForwardingDecision:
-        return ForwardingDecision.no()
+    ) -> List[ForwardingDecision]:
+        return [NO_DECISION] * len(receivers)

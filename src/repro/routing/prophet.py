@@ -90,27 +90,6 @@ class ProphetScheme(ForwardingScheme):
     # ------------------------------------------------------------------ #
     # Forwarding decision
     # ------------------------------------------------------------------ #
-    def on_overhear(
-        self,
-        receiver: EndDevice,
-        packet: UplinkPacket,
-        link_rssi_dbm: float,
-        capacity_model: LinkCapacityModel,
-        now: float,
-    ) -> ForwardingDecision:
-        sender_pred = self.predictability(packet.sender, now)
-        receiver_pred = self.predictability(receiver.device_id, now)
-        # Transitive update: the receiver can now route via the sender.
-        transitive = sender_pred * self.beta
-        if transitive > receiver_pred:
-            self._set(receiver.device_id, transitive, now)
-        if not receiver.has_data():
-            return ForwardingDecision.no()
-        if sender_pred <= receiver_pred:
-            return ForwardingDecision.no()
-        limit = min(self.max_handover_messages, receiver.queue_length())
-        return ForwardingDecision(forward=True, message_limit=limit, copy=True)
-
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -119,13 +98,12 @@ class ProphetScheme(ForwardingScheme):
         capacity_model: LinkCapacityModel,
         now: float,
     ) -> List[ForwardingDecision]:
-        """Batched :meth:`on_overhear` preserving the exact table-update order.
+        """Transitive update, then replicate when ``P_y > P_x``, per receiver.
 
-        Receivers are processed in order, so every aging/transitive update to
-        the predictability table happens in the same order as the scalar
-        loop: the sender is aged at the first receiver (later re-agings run
-        at ``Δt = 0``, a no-op), and each receiver gets its transitive update
-        exactly where the scalar path applies it.
+        Receivers are processed in order, so a batch applies the same table
+        updates in the same order as one-receiver batches would: the sender
+        is aged at the first receiver (later re-agings run at ``Δt = 0``, a
+        no-op), then each receiver gets its transitive update.
         """
         predictability = self.predictability
         beta = self.beta

@@ -9,10 +9,12 @@ gateway contact.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.mac.device import EndDevice
 from repro.mac.frames import UplinkPacket
 from repro.phy.link import LinkCapacityModel
-from repro.routing.base import ForwardingDecision, ForwardingScheme
+from repro.routing.base import NO_DECISION, ForwardingDecision, ForwardingScheme
 
 
 class RCAETXScheme(ForwardingScheme):
@@ -27,24 +29,33 @@ class RCAETXScheme(ForwardingScheme):
             raise ValueError("max_handover_messages must be positive")
         self.max_handover_messages = max_handover_messages
 
-    def on_overhear(
+    def on_overhear_batch(
         self,
-        receiver: EndDevice,
         packet: UplinkPacket,
-        link_rssi_dbm: float,
+        receivers: Sequence[EndDevice],
+        rssi_dbm: Sequence[float],
         capacity_model: LinkCapacityModel,
         now: float,
-    ) -> ForwardingDecision:
-        if packet.rca_etx_s is None:
-            return ForwardingDecision.no()
-        if not receiver.has_data():
-            return ForwardingDecision.no()
-        forward = receiver.rca_etx.should_forward_to(
-            neighbour_sink_metric=packet.rca_etx_s,
-            rssi_dbm=link_rssi_dbm,
-            capacity_model=capacity_model,
-        )
-        if not forward:
-            return ForwardingDecision.no()
-        limit = min(self.max_handover_messages, receiver.queue_length())
-        return ForwardingDecision(forward=True, message_limit=limit)
+    ) -> List[ForwardingDecision]:
+        """Eq. (1) for every overhearer of ``packet``; a decision reads only
+        its receiver's queue and estimator and the packet snapshot."""
+        neighbour_metric = packet.rca_etx_s
+        if neighbour_metric is None:
+            return [NO_DECISION] * len(receivers)
+        max_handover = self.max_handover_messages
+        decisions: List[ForwardingDecision] = []
+        for receiver, rssi in zip(receivers, rssi_dbm):
+            queued = len(receiver.queue)
+            if queued and receiver.rca_etx.should_forward_to(
+                neighbour_sink_metric=neighbour_metric,
+                rssi_dbm=rssi,
+                capacity_model=capacity_model,
+            ):
+                decisions.append(
+                    ForwardingDecision(
+                        forward=True, message_limit=min(max_handover, queued)
+                    )
+                )
+            else:
+                decisions.append(NO_DECISION)
+        return decisions

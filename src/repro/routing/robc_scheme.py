@@ -15,7 +15,6 @@ import math
 from typing import List, Sequence
 
 from repro.core.rgq import RealTimeGatewayQuality
-from repro.core.robc import robc_transfer_amount
 from repro.mac.device import EndDevice
 from repro.mac.frames import UplinkPacket
 from repro.phy.link import LinkCapacityModel
@@ -39,35 +38,6 @@ class ROBCScheme(ForwardingScheme):
         self.rgq = rgq
         self.max_handover_messages = max_handover_messages
 
-    def on_overhear(
-        self,
-        receiver: EndDevice,
-        packet: UplinkPacket,
-        link_rssi_dbm: float,
-        capacity_model: LinkCapacityModel,
-        now: float,
-    ) -> ForwardingDecision:
-        if packet.rca_etx_s is None or packet.queue_length is None:
-            return ForwardingDecision.no()
-        if not receiver.has_data():
-            return ForwardingDecision.no()
-        if not capacity_model.is_connected(link_rssi_dbm):
-            return ForwardingDecision.no()
-        delta = robc_transfer_amount(
-            own_queue=float(receiver.queue_length()),
-            own_sink_metric_s=receiver.rca_etx.sink_metric(),
-            neighbour_queue=float(packet.queue_length),
-            neighbour_sink_metric_s=packet.rca_etx_s,
-            rgq=self.rgq,
-        )
-        messages = int(math.floor(delta))
-        if messages <= 0:
-            return ForwardingDecision.no()
-        limit = min(messages, self.max_handover_messages, receiver.queue_length())
-        if limit <= 0:
-            return ForwardingDecision.no()
-        return ForwardingDecision(forward=True, message_limit=limit)
-
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -76,15 +46,13 @@ class ROBCScheme(ForwardingScheme):
         capacity_model: LinkCapacityModel,
         now: float,
     ) -> List[ForwardingDecision]:
-        """Batched :meth:`on_overhear`: same arithmetic, hoisted ϕ clamping.
+        """ROBC's handover rule (Eq. 10) for every overhearer of ``packet``.
 
-        ROBC reads only the receiver's queue/estimator and the packet
-        snapshot, so decisions are independent across the receivers of one
-        transmission — exactly the batch-hook contract.  The sender's ϕ and
-        ``Q_y/ϕ_y`` are computed once per batch; each receiver's ϕ and the backpressure
-        weight/δ are computed inline in the identical operation order as
-        :func:`~repro.core.robc.robc_transfer_amount`, which keeps the
-        verdicts bit-identical to the scalar path.
+        The sender's ϕ and backlog pressure ``Q_y/ϕ_y`` are computed once per
+        batch.  Each receiver's ϕ, weight and δ follow the operation order of
+        :func:`~repro.core.robc.robc_transfer_amount`, the paper reference
+        the tests pin these verdicts against.  A decision reads only its
+        receiver's queue and estimator and the packet snapshot.
         """
         neighbour_metric = packet.rca_etx_s
         neighbour_queue = packet.queue_length

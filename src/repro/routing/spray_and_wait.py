@@ -54,14 +54,6 @@ class SprayAndWaitScheme(ForwardingScheme):
         self.initial_copies = initial_copies
         self.max_handover_messages = max_handover_messages
 
-    def sprayable_messages(self, receiver: EndDevice) -> int:
-        """How many queued messages still hold more than one ticket."""
-        return sum(
-            1
-            for message in receiver.queue.peek_all()
-            if get_tickets(message, self.initial_copies) > 1
-        )
-
     def split_tickets(self, message: DataMessage) -> int:
         """Halve the tickets of ``message``; returns the tickets given to the copy."""
         tickets = get_tickets(message, self.initial_copies)
@@ -71,20 +63,6 @@ class SprayAndWaitScheme(ForwardingScheme):
         set_tickets(message, tickets - given)
         return given
 
-    def on_overhear(
-        self,
-        receiver: EndDevice,
-        packet: UplinkPacket,
-        link_rssi_dbm: float,
-        capacity_model: LinkCapacityModel,
-        now: float,
-    ) -> ForwardingDecision:
-        sprayable = self.sprayable_messages(receiver)
-        if sprayable <= 0:
-            return ForwardingDecision.no()
-        limit = min(sprayable, self.max_handover_messages)
-        return ForwardingDecision(forward=True, message_limit=limit, copy=True)
-
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -93,12 +71,11 @@ class SprayAndWaitScheme(ForwardingScheme):
         capacity_model: LinkCapacityModel,
         now: float,
     ) -> List[ForwardingDecision]:
-        """Batched :meth:`on_overhear` with the ticket scan inlined.
+        """Spray while the receiver holds messages with more than one ticket.
 
-        Each decision reads (and lazily initialises) tickets only on the
-        receiver's own queued messages, so decisions are independent across
-        the receivers of one transmission.  Ticket *splitting* happens later,
-        in the handover itself, exactly as on the scalar path.
+        Each decision reads (and lazily initialises) tickets only on its
+        receiver's own queued messages.  Tickets are split later, in the
+        handover itself.
         """
         initial = self.initial_copies
         max_handover = self.max_handover_messages
