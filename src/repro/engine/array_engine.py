@@ -81,7 +81,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import replace as dataclass_replace
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -1332,7 +1331,12 @@ class ArrayMLoRaSimulation:
             return
         if not self.scenario.topology.in_contact(giver.device_id, taker.device_id, now):
             return
-        messages = giver.transferable_messages(taker.device_id, limit, now=now)
+        if copy:
+            # The carrier keeps its messages; the scheme picks and copies them
+            # (spray-and-wait splits tickets) and the taker stores the copies.
+            messages, accepted = self._scheme.hand_over_copies(giver, taker, limit, now)
+        else:
+            messages = giver.transferable_messages(taker.device_id, limit, now=now)
         if not messages:
             return
 
@@ -1355,11 +1359,9 @@ class ArrayMLoRaSimulation:
                 airtime_s=airtime_s,
             )
 
-        if copy:
-            transferred = [dataclass_replace(m) for m in messages]
-        else:
-            transferred = giver.release_messages(m.message_id for m in messages)
-        accepted = taker.accept_handover(transferred, giver.device_id, now=now)
+        if not copy:
+            messages = giver.release_messages(m.message_id for m in messages)
+            accepted = taker.accept_handover(messages, giver.device_id, now=now)
         self._handover_count += 1
         self._handed_over_messages += accepted
         self._schedule_attempt(

@@ -84,6 +84,13 @@ BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 #: the configuration digest alone cannot see code changes.
 CACHE_SCHEMA_VERSION = 1
 
+#: Cache-key versions of schemes whose own results changed after the last
+#: :data:`CACHE_SCHEMA_VERSION` bump; an entry retires only that scheme's
+#: stored runs.  spray-and-wait: copies split their tickets.  Each value
+#: exceeds CACHE_SCHEMA_VERSION; the next global bump must exceed every
+#: value here and empty the table.
+SCHEME_CACHE_VERSIONS: Dict[str, int] = {"spray-and-wait": 2}
+
 
 def derive_run_seed(
     master_seed: int,
@@ -191,7 +198,8 @@ class RunSpec:
         """Filename-safe identity of this spec's result."""
         gateways = "n" if self.nominal_gateways is None else str(self.nominal_gateways)
         return (
-            f"v{CACHE_SCHEMA_VERSION}-{config_digest(self.config)}"
+            f"v{SCHEME_CACHE_VERSIONS.get(self.config.scheme, CACHE_SCHEMA_VERSION)}"
+            f"-{config_digest(self.config)}"
             f"-{gateways}-{self.replicate}"
         )
 

@@ -29,7 +29,6 @@ outcomes, never *how* the medium treats them.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
 from typing import Dict, Optional
 
 from repro.analysis.metrics import RunMetrics, compute_run_metrics
@@ -37,7 +36,7 @@ from repro.engine.config import ENGINES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.mac.device import EndDevice
-from repro.mac.frames import DataMessage, UplinkPacket
+from repro.mac.frames import UplinkPacket
 from repro.mac.network_server import NetworkServer
 from repro.phy.collision import Transmission
 from repro.radio.medium import RadioMedium
@@ -273,7 +272,12 @@ class MLoRaSimulation:
             return
         if not self.scenario.topology.in_contact(giver.device_id, taker.device_id, now):
             return
-        messages = giver.transferable_messages(taker.device_id, limit, now=now)
+        if copy:
+            # The carrier keeps its messages; the scheme picks and copies them
+            # (spray-and-wait splits tickets) and the taker stores the copies.
+            messages, accepted = self.scenario.scheme.hand_over_copies(giver, taker, limit, now)
+        else:
+            messages = giver.transferable_messages(taker.device_id, limit, now=now)
         if not messages:
             return
 
@@ -302,22 +306,14 @@ class MLoRaSimulation:
                 airtime_s=airtime_s,
             )
 
-        if copy:
-            transferred = [self._clone_message(m) for m in messages]
-        else:
-            transferred = giver.release_messages(m.message_id for m in messages)
-        accepted = taker.accept_handover(transferred, giver.device_id, now=now)
+        if not copy:
+            messages = giver.release_messages(m.message_id for m in messages)
+            accepted = taker.accept_handover(messages, giver.device_id, now=now)
         self._handover_count += 1
         self._handed_over_messages += accepted
         # The new carrier uploads at its next opportunity; make sure one exists
         # even if its own generation tick is far away.
         self._schedule_attempt(taker.device_id, taker.next_transmission_time)
-
-    @staticmethod
-    def _clone_message(message: DataMessage) -> DataMessage:
-        """An independent copy of a message (replication keeps ids, so the
-        server still deduplicates; hop counts evolve per copy)."""
-        return dataclass_replace(message)
 
     # ------------------------------------------------------------------ #
     # Energy

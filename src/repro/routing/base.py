@@ -10,11 +10,11 @@ physically possible (duty cycle, link still up) and for moving the messages.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple
 
 from repro.mac.device import EndDevice
-from repro.mac.frames import UplinkPacket
+from repro.mac.frames import DataMessage, UplinkPacket
 from repro.phy.link import LinkCapacityModel
 
 
@@ -99,6 +99,23 @@ class ForwardingScheme(ABC):
     ) -> ForwardingDecision:
         """Decide one receiver: a batch of one."""
         return self.on_overhear_batch(packet, [receiver], [link_rssi_dbm], capacity_model, now)[0]
+
+    def hand_over_copies(
+        self, giver: EndDevice, taker: EndDevice, limit: int, now: float
+    ) -> Tuple[List[DataMessage], int]:
+        """A replicating handover (``decision.copy``): ``giver`` keeps its
+        messages and ``taker`` is offered copies of up to ``limit`` of them.
+
+        Returns the copies the handover frame carries and how many of them
+        ``taker`` stored.  The default copies the first ``limit`` eligible
+        messages; a scheme that meters replication may pick others and
+        update the carrier's messages by what the taker stored.
+        """
+        copies = [
+            replace(message)
+            for message in giver.transferable_messages(taker.device_id, limit, now=now)
+        ]
+        return copies, taker.accept_handover(copies, giver.device_id, now=now)
 
     def observe_transmission_slot(
         self, device_id: str, gateway_connected: bool, now: float

@@ -13,7 +13,8 @@ baseline-specific fields.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.mac.device import EndDevice
 from repro.mac.frames import DataMessage, UplinkPacket
@@ -63,6 +64,35 @@ class SprayAndWaitScheme(ForwardingScheme):
         set_tickets(message, tickets - given)
         return given
 
+    def hand_over_copies(
+        self, giver: EndDevice, taker: EndDevice, limit: int, now: float
+    ) -> Tuple[List[DataMessage], int]:
+        """Binary spray: copy the first ``limit`` eligible messages that hold
+        more than one ticket, each copy taking half its message's tickets.
+
+        A message down to one ticket is in its wait phase and is not copied.
+        The carrier keeps the tickets of a copy the taker does not store (it
+        already holds that message, or its queue is full).
+        """
+        copies: List[DataMessage] = []
+        accepted = 0
+        # Every eligible message is a candidate: wait-phase messages ahead
+        # in the queue must not use up the limit.
+        for message in giver.transferable_messages(taker.device_id, len(giver.queue), now=now):
+            given = self.split_tickets(message)
+            if not given:
+                continue
+            copy = replace(message)
+            set_tickets(copy, given)
+            copies.append(copy)
+            if taker.accept_handover((copy,), giver.device_id, now=now):
+                accepted += 1
+            else:
+                set_tickets(message, get_tickets(message, self.initial_copies) + given)
+            if len(copies) >= limit:
+                break
+        return copies, accepted
+
     def on_overhear_batch(
         self,
         packet: UplinkPacket,
@@ -74,8 +104,8 @@ class SprayAndWaitScheme(ForwardingScheme):
         """Spray while the receiver holds messages with more than one ticket.
 
         Each decision reads (and lazily initialises) tickets only on its
-        receiver's own queued messages.  Tickets are split later, in the
-        handover itself.
+        receiver's own queued messages.  Tickets are split later, when the
+        handover copies the messages (:meth:`hand_over_copies`).
         """
         initial = self.initial_copies
         max_handover = self.max_handover_messages

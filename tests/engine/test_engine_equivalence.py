@@ -86,6 +86,13 @@ STRESS_CASES = {
     "robc": BASE.with_scheme("robc"),
     "epidemic": BASE.with_scheme("epidemic"),
     "spray-and-wait": BASE.with_scheme("spray-and-wait"),
+    # Small and dense enough that spray-and-wait's copies meet carriers that
+    # already hold them, and that wait-phase messages queue ahead of
+    # sprayable ones.
+    "spray-rwp": replace_fields(get_preset("urban-smoke").config, {
+        "scheme": "spray-and-wait", "mobility.model": "random-waypoint",
+        "mobility.num_nodes": 40, "area_km2": 1.0,
+    }),
     "prophet": BASE.with_scheme("prophet"),
     "multichannel": replace_fields(BASE, {"scheme": "robc", "radio.num_channels": 3}),
     "random-sf": replace_fields(

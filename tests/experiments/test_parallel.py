@@ -20,6 +20,8 @@ from repro.config_fields import config_to_dict, replace_fields
 from repro.engine import ENGINES, EngineConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
+    CACHE_SCHEMA_VERSION,
+    SCHEME_CACHE_VERSIONS,
     RunSpec,
     SweepExecutor,
     _trace_file_content_digest,
@@ -394,6 +396,19 @@ class TestCacheKeyContract:
     @given(scenario_configs(), st.sampled_from(sorted(RESULT_AFFECTING)))
     def test_result_affecting_fields_change_the_key(self, config, field):
         assert _key(RESULT_AFFECTING[field](config)) != _key(config)
+
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_key_carries_the_scheme_cache_version(self, scheme):
+        # A scheme whose own results changed keys at a newer version, so a
+        # store filled before the change never serves its stale runs.
+        version = SCHEME_CACHE_VERSIONS.get(scheme, CACHE_SCHEMA_VERSION)
+        assert version >= CACHE_SCHEMA_VERSION
+        assert _key(ScenarioConfig(scheme=scheme)).startswith(f"v{version}-")
+
+    def test_spray_and_wait_keys_retire_runs_from_before_the_ticket_split(self):
+        # Version 1 keys hold spray-and-wait runs whose copies never split
+        # their tickets.
+        assert not _key(ScenarioConfig(scheme="spray-and-wait")).startswith("v1-")
 
 
 # --------------------------------------------------------------------- #

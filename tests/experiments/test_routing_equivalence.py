@@ -13,11 +13,13 @@ so archived SweepExecutor caches stay valid across the refactor.
 
 If a legitimate behaviour change ever invalidates these values, regenerate
 them *and* bump ``repro.experiments.parallel.CACHE_SCHEMA_VERSION`` in the
-same commit.
+same commit (or, when only one scheme's results move, that scheme's entry in
+``SCHEME_CACHE_VERSIONS``).
 """
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,8 +28,10 @@ from repro.config_fields import replace_fields
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import RunSpec, SweepExecutor, config_digest
 from repro.experiments.registry import get_preset
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_engine, run_scenario
+from repro.experiments.scenario import build_scenario
 from repro.routing.config import BufferConfig, RoutingConfig
+from repro.routing.spray_and_wait import get_tickets
 
 
 def metrics_fingerprint(metrics) -> str:
@@ -63,13 +67,14 @@ SMALL = ScenarioConfig(
 )
 
 #: RunMetrics fingerprints of SMALL under every pre-existing scheme,
-#: recorded from the pre-refactor engine (inline scheme construction).
+#: recorded from the pre-refactor engine (inline scheme construction);
+#: spray-and-wait's was re-recorded once its copies split tickets.
 GOLDEN_FINGERPRINTS = {
     "no-routing": "df5d4575617e6dd47a626b6644ec8977a329dbcd8c82b6d56b33c25dae5c14c0",
     "rca-etx": "82951fea1663915f31fb49154f557fa7aafe83aab7694a5d0de613e75b34647c",
     "robc": "1b207745bbad074517f143276f4a0ac23e97d8a2fe25b41d965ac89812d50d75",
     "epidemic": "1e28b904831117e221e649251fe9f153bb876c4ad7b40cdede6477e56269c8ac",
-    "spray-and-wait": "6c7bf594472dcfd9ba4daf990acec00e2bfc52cb7094a7470b4b65cc6ffd6900",
+    "spray-and-wait": "c33c68a9631ab719c251b5b01e8a90c5f87c464fd6526b7ad54eb4f8910f1ccc",
 }
 
 #: Config digests of every preset that existed before the routing refactor,
@@ -181,9 +186,8 @@ class TestRoutingParameters:
 
     def test_spray_copies_change_results(self):
         # A single ticket puts every carrier straight into the wait phase
-        # (deliver-to-gateway only); the default four tickets spray.  The
-        # engine never *splits* tickets mid-run (pre-refactor behaviour the
-        # goldens pin), so the copies=1 boundary is where the parameter bites.
+        # (deliver-to-gateway only); the default four tickets spray, halving
+        # a message's tickets at each copy until its carriers hold one each.
         base = run_scenario(SMALL.with_scheme("spray-and-wait"))
         wait_only = run_scenario(
             replace_fields(SMALL, {"scheme": "spray-and-wait", "routing.spray_initial_copies": 1})
@@ -237,6 +241,35 @@ class TestRoutingParameters:
             BufferConfig(policy="drop-new", ttl_s=10.0)
         with pytest.raises(ValueError, match="not_a_param"):
             replace_fields(SMALL, {"routing.not_a_param": 3})
+
+
+class TestSprayTicketBudget:
+    """Binary spray-and-wait bounds each message's copies by its tickets.
+
+    A replicating handover splits a message's tickets between the carrier
+    and each copy the taker stores, so after a run the tickets of one
+    message id, summed over every queue, never exceed ``initial_copies``.
+    """
+
+    #: Small and dense enough that messages meet many carriers.
+    CONFIG = replace_fields(get_preset("urban-smoke").config, {
+        "scheme": "spray-and-wait",
+        "mobility.model": "random-waypoint",
+        "mobility.num_nodes": 40,
+        "area_km2": 1.0,
+    })
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_ticket_sum_per_message_within_initial_copies(self, engine):
+        scenario = build_scenario(self.CONFIG)
+        metrics = run_engine(scenario, engine)
+        initial = self.CONFIG.routing.spray_initial_copies
+        tickets = Counter()
+        for device in scenario.devices.values():
+            for message in device.queue.peek_all():
+                tickets[message.message_id] += get_tickets(message, initial)
+        assert metrics.messages_delivered > 0 and tickets
+        assert max(tickets.values()) <= initial
 
 
 class TestProphet:

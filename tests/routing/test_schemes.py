@@ -1,5 +1,7 @@
 """Unit tests for the forwarding schemes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.mac.device import DeviceConfig, EndDevice
@@ -13,7 +15,7 @@ from repro.routing.no_routing import NoRoutingScheme
 from repro.routing.prophet import ProphetScheme
 from repro.routing.rca_etx_scheme import RCAETXScheme
 from repro.routing.robc_scheme import ROBCScheme
-from repro.routing.spray_and_wait import SprayAndWaitScheme, get_tickets
+from repro.routing.spray_and_wait import SprayAndWaitScheme, get_tickets, set_tickets
 
 CAPACITY = LinkCapacityModel(max_capacity_bps=100.0, rssi_min_dbm=-120.0, rssi_max_dbm=-80.0)
 GOOD_RSSI = -85.0
@@ -204,6 +206,65 @@ class TestSprayAndWait:
         scheme = SprayAndWaitScheme(initial_copies=1)
         message = DataMessage(source="bus-x", created_at=0.0)
         assert scheme.split_tickets(message) == 0
+
+    @staticmethod
+    def _hand_over(scheme, giver, taker, limit=12):
+        return scheme.hand_over_copies(giver, taker, limit, 0.0)
+
+    def test_copy_splits_tickets_between_carrier_and_copy(self):
+        scheme = SprayAndWaitScheme(initial_copies=4)
+        giver, taker = _device("bus-x", queued=1), _device("bus-y", queued=0)
+        (message,) = giver.queue.peek_all()
+        (copy,), accepted = self._hand_over(scheme, giver, taker)
+        assert accepted == 1 and copy.message_id in taker.queue
+        assert copy is not message and copy.message_id == message.message_id
+        assert get_tickets(message, 4) == 2
+        assert get_tickets(copy, 4) == 2
+
+    def test_single_ticket_message_is_not_copied(self):
+        scheme = SprayAndWaitScheme(initial_copies=4)
+        giver, taker = _device("bus-x", queued=2), _device("bus-y", queued=0)
+        spent, fresh = giver.queue.peek_all()
+        set_tickets(spent, 1)
+        copies, accepted = self._hand_over(scheme, giver, taker)
+        assert [c.message_id for c in copies] == [fresh.message_id] and accepted == 1
+        assert get_tickets(spent, 4) == 1
+
+    def test_wait_phase_message_does_not_use_up_the_limit(self):
+        scheme = SprayAndWaitScheme(initial_copies=4)
+        giver, taker = _device("bus-x", queued=2), _device("bus-y", queued=0)
+        spent, fresh = giver.queue.peek_all()
+        set_tickets(spent, 1)
+        (copy,), accepted = self._hand_over(scheme, giver, taker, limit=1)
+        assert copy.message_id == fresh.message_id and accepted == 1
+        assert get_tickets(fresh, 4) == 2
+
+    def test_carrier_keeps_tickets_of_a_copy_the_taker_already_holds(self):
+        scheme = SprayAndWaitScheme(initial_copies=4)
+        giver, taker = _device("bus-x", queued=1), _device("bus-y", queued=0)
+        (message,) = giver.queue.peek_all()
+        taker.queue.push(replace(message))
+        copies, accepted = self._hand_over(scheme, giver, taker)
+        assert len(copies) == 1 and accepted == 0
+        assert get_tickets(message, 4) == 4
+
+    def test_carrier_keeps_tickets_of_a_copy_a_full_queue_refuses(self):
+        scheme = SprayAndWaitScheme(initial_copies=4)
+        giver = _device("bus-x", queued=1)
+        taker = EndDevice("bus-y", config=DeviceConfig(max_queue_size=1))
+        taker.generate_message(0.0)
+        (message,) = giver.queue.peek_all()
+        copies, accepted = self._hand_over(scheme, giver, taker)
+        assert len(copies) == 1 and accepted == 0
+        assert get_tickets(message, 4) == 4
+
+    def test_default_copy_keeps_every_message(self):
+        giver, taker = _device("bus-x", queued=3), _device("bus-y", queued=0)
+        messages = giver.queue.peek_all()
+        copies, accepted = EpidemicScheme().hand_over_copies(giver, taker, 2, 0.0)
+        assert [c.message_id for c in copies] == [m.message_id for m in messages[:2]]
+        assert all(c is not m for c, m in zip(copies, messages))
+        assert accepted == 2 and giver.queue.peek_all() == messages
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
