@@ -93,7 +93,7 @@ from repro.mac.device_classes import ModifiedClassC
 from repro.mac.frames import METRIC_FIELD_BYTES, PACKET_OVERHEAD_BYTES
 from repro.mac.network_server import NetworkServer
 from repro.mac.queueing import BufferPolicy
-from repro.mobility.trace import MobilityTrace
+from repro.mobility.trace import TRACE_CHUNK_SAMPLES, MobilityTrace, max_segment_speeds
 from repro.network.spatial import RANGE_MASK_SLACK_M
 from repro.phy.collision import Transmission
 from repro.phy.energy import RadioState
@@ -123,55 +123,10 @@ _PAIR_CHUNK_TRANSMITTERS = 256
 #: two cells away.
 _GRID_CELL_PAD = 1e-9
 
-#: Samples per block in :func:`max_segment_speeds`: bounds its transient
-#: arrays at a few MB however many samples the fleet's traces hold.
-_SPEED_CHUNK_SAMPLES = 1 << 14
-
-
-def max_segment_speeds(
-    traces: Sequence[MobilityTrace], chunk_samples: int = _SPEED_CHUNK_SAMPLES
-) -> np.ndarray:
-    """Each trace's maximum segment speed ``max(hypot(dx, dy) / dt)``.
-
-    One vectorized pass over the traces' concatenated samples, in blocks of
-    whole traces of about ``chunk_samples`` samples.  In a block the
-    pseudo-segment from one trace's last sample to the next trace's first is
-    zeroed, which also gives single-sample traces a speed of 0; segment
-    speeds are non-negative, so ``np.maximum.reduceat`` over each trace's
-    slice is exactly its own maximum.
-    """
-    lengths = np.fromiter(
-        (t._times_array.size for t in traces), dtype=np.int64, count=len(traces)
-    )
-    ends = np.cumsum(lengths)
-    speeds_out = np.empty(len(traces), dtype=float)
-    start = 0
-    while start < len(traces):
-        first_sample = ends[start] - lengths[start]
-        stop = int(np.searchsorted(ends, first_sample + chunk_samples, side="right"))
-        stop = max(stop, start + 1)
-        block = traces[start:stop]
-        block_ends = ends[start:stop] - first_sample
-        times = np.concatenate([t._times_array for t in block])
-        dx = np.diff(np.concatenate([t._xs_array for t in block]))
-        dy = np.diff(np.concatenate([t._ys_array for t in block]))
-        np.hypot(dx, dy, out=dx)
-        speeds = np.zeros(times.size, dtype=float)
-        # Only the cross-trace pseudo-segments, zeroed below, divide badly.
-        with np.errstate(all="ignore"):
-            np.divide(dx, np.diff(times), out=speeds[:-1])
-        speeds[block_ends - 1] = 0.0
-        speeds_out[start:stop] = np.maximum.reduceat(
-            speeds, block_ends - lengths[start:stop]
-        )
-        start = stop
-    return speeds_out
-
-
 def tick_positions(
     traces: Sequence[MobilityTrace],
     tick_times: np.ndarray,
-    chunk_samples: int = _SPEED_CHUNK_SAMPLES,
+    chunk_samples: int = TRACE_CHUNK_SAMPLES,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(len(tick_times), len(traces))`` x and y of each trace at each tick.
 

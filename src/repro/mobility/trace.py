@@ -235,3 +235,49 @@ class MobilityTrace:
 def active_count_at(traces: Sequence[MobilityTrace], time: float) -> int:
     """Number of traces active at ``time`` (used for the Fig. 7a diurnal profile)."""
     return sum(1 for trace in traces if trace.is_active(time))
+
+
+#: Samples per block in fleet-wide passes over trace samples
+#: (:func:`max_segment_speeds`, the array engine's ``tick_positions``): bounds
+#: their transient arrays at a few MB however many samples the traces hold.
+TRACE_CHUNK_SAMPLES = 1 << 14
+
+
+def max_segment_speeds(
+    traces: Sequence[MobilityTrace], chunk_samples: int = TRACE_CHUNK_SAMPLES
+) -> np.ndarray:
+    """Each trace's maximum segment speed ``max(hypot(dx, dy) / dt)``.
+
+    One vectorized pass over the traces' concatenated samples, in blocks of
+    whole traces of about ``chunk_samples`` samples.  In a block the
+    pseudo-segment from one trace's last sample to the next trace's first is
+    zeroed, which also gives single-sample traces a speed of 0; segment
+    speeds are non-negative, so ``np.maximum.reduceat`` over each trace's
+    slice is exactly its own maximum.
+    """
+    lengths = np.fromiter(
+        (t._times_array.size for t in traces), dtype=np.int64, count=len(traces)
+    )
+    ends = np.cumsum(lengths)
+    speeds_out = np.empty(len(traces), dtype=float)
+    start = 0
+    while start < len(traces):
+        first_sample = ends[start] - lengths[start]
+        stop = int(np.searchsorted(ends, first_sample + chunk_samples, side="right"))
+        stop = max(stop, start + 1)
+        block = traces[start:stop]
+        block_ends = ends[start:stop] - first_sample
+        times = np.concatenate([t._times_array for t in block])
+        dx = np.diff(np.concatenate([t._xs_array for t in block]))
+        dy = np.diff(np.concatenate([t._ys_array for t in block]))
+        np.hypot(dx, dy, out=dx)
+        speeds = np.zeros(times.size, dtype=float)
+        # Only the cross-trace pseudo-segments, zeroed below, divide badly.
+        with np.errstate(all="ignore"):
+            np.divide(dx, np.diff(times), out=speeds[:-1])
+        speeds[block_ends - 1] = 0.0
+        speeds_out[start:stop] = np.maximum.reduceat(
+            speeds, block_ends - lengths[start:stop]
+        )
+        start = stop
+    return speeds_out

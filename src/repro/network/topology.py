@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mobility.geometry import Point
+from repro.mobility.trace import max_segment_speeds
 from repro.network.node import DeviceNode, SinkNode
 from repro.network.spatial import UniformGridIndex, pairwise_in_range_mask
 from repro.phy.constants import DEFAULT_TX_POWER_DBM, SpreadingFactor
@@ -59,10 +60,6 @@ class TopologyConfig:
 
 class TimeVaryingTopology:
     """Positions, links and neighbourhoods as functions of time."""
-
-    #: Maximum assumed device speed (m/s) used to bound the staleness of the
-    #: cached-position coarse filter in :meth:`neighbours`.
-    MAX_DEVICE_SPEED_MPS = 12.0
 
     def __init__(
         self,
@@ -112,6 +109,9 @@ class TimeVaryingTopology:
         # and are tracked separately.  Gateways never move, so their index is
         # built once.
         self._device_index: Optional[UniformGridIndex] = None
+        # How far a cached position can lag a device's true one, from the
+        # traces' fastest segment; measured on the first neighbour query.
+        self._cache_margin_m: Optional[float] = None
         self._unindexed_device_ids: List[str] = []
         self._device_order: Dict[str, int] = {
             device_id: i for i, device_id in enumerate(self.devices)
@@ -270,8 +270,7 @@ class TimeVaryingTopology:
             return []
         self._refresh_spatial_cache(time)
         assert self._device_index is not None
-        margin = 2.0 * self.MAX_DEVICE_SPEED_MPS * self._cache_window
-        coarse_range = self.config.device_range_m + margin
+        coarse_range = self.config.device_range_m + self._neighbour_cache_margin()
         candidates = self._device_index.ids_in_square(position, coarse_range)
         if self._unindexed_device_ids:
             # Devices with no coarse position (off the road at the sample
@@ -303,6 +302,19 @@ class TimeVaryingTopology:
             if state.connected:
                 result.append((other_id, state))
         return result
+
+    def _neighbour_cache_margin(self) -> float:
+        """Padding of the coarse filter in :meth:`neighbours`.
+
+        A candidate strays at most the fleet's fastest segment speed times
+        the cache window from its cached position.  The margin is twice
+        that, which also absorbs rounding in the interpolated positions.
+        """
+        if self._cache_margin_m is None:
+            speeds = max_segment_speeds([d.trace for d in self.devices.values()])
+            fastest = float(speeds.max()) if speeds.size else 0.0
+            self._cache_margin_m = 2.0 * fastest * self._cache_window
+        return self._cache_margin_m
 
     def reset_query_stats(self) -> None:
         """Zero the neighbour-query/candidate/rebuild counters."""

@@ -118,6 +118,14 @@ STRESS_CASES = {
         "routing.buffer.capacity": 8,
     }),
     "tick-7s": replace_fields(BASE, {"scheme": "robc", "engine.tick_s": 7.0}),
+    # Movers at 30–40 m/s, faster than any bus: the object topology's
+    # neighbour prefilter must pad its cached positions by the traces' own
+    # speed, not by an assumed bus speed.
+    "fast-rwp": replace_fields(get_preset("urban-smoke").config, {
+        "scheme": "epidemic", "mobility.model": "random-waypoint",
+        "mobility.num_nodes": 80, "area_km2": 2.0,
+        "mobility.min_speed_mps": 30.0, "mobility.max_speed_mps": 40.0,
+    }),
 }
 
 

@@ -19,13 +19,12 @@ from repro.config_fields import replace_fields
 from repro.engine.array_engine import (
     ArrayMLoRaSimulation,
     GatewayGrid,
-    max_segment_speeds,
     tick_positions,
 )
 from repro.experiments.registry import get_preset
 from repro.experiments.scenario import build_scenario
 from repro.mobility.geometry import Point
-from repro.mobility.trace import MobilityTrace
+from repro.mobility.trace import MobilityTrace, max_segment_speeds
 from repro.network.spatial import RANGE_MASK_SLACK_M
 
 

@@ -1,6 +1,10 @@
 """Unit tests for the time-varying topology G(N, L, C(t))."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point
 from repro.mobility.trace import MobilityTrace, TracePoint
@@ -35,6 +39,34 @@ def _topology(devices, sinks, device_range=500.0, gateway_range=1000.0):
         ),
         position_cache_window_s=0.0,
     )
+
+
+def _cached_topology(devices):
+    """A topology whose neighbour queries go through 15 s cached positions."""
+    return TimeVaryingTopology(
+        devices=devices,
+        sinks=[SinkNode("gw", Point(10_000, 10_000))],
+        config=TopologyConfig(gateway_range_m=1000.0, device_range_m=500.0),
+        path_loss=DiscPathLoss(radius_m=10_000.0, in_range_rssi_dbm=-90.0),
+        capacity_model=LinkCapacityModel(
+            max_capacity_bps=100.0, rssi_min_dbm=-120.0, rssi_max_dbm=-80.0
+        ),
+        position_cache_window_s=15.0,
+    )
+
+
+@st.composite
+def _passing_trace(draw):
+    """A straight pass at up to 40 m/s whose closest approach to the origin,
+    at some instant of ``[0, 240]`` s, lies within 400 m."""
+    speed = draw(st.floats(0.0, 40.0))
+    heading = draw(st.floats(0.0, 2.0 * math.pi))
+    closest_time = draw(st.floats(0.0, 240.0))
+    x = draw(st.floats(-400.0, 400.0)) - speed * closest_time * math.cos(heading)
+    y = draw(st.floats(-400.0, 400.0)) - speed * closest_time * math.sin(heading)
+    end_x = x + speed * 240.0 * math.cos(heading)
+    end_y = y + speed * 240.0 * math.sin(heading)
+    return MobilityTrace.from_samples([0.0, 240.0], [x, end_x], [y, end_y])
 
 
 class TestConstruction:
@@ -164,6 +196,33 @@ class TestNeighbourhoods:
             assert {n for n, _ in exact.neighbours("a", time)} == {
                 n for n, _ in cached.neighbours("a", time)
             }
+
+    def test_cached_neighbours_find_a_mover_faster_than_a_bus(self):
+        # "b" closes 560 m in the first 14 s of a 15 s cache window: its
+        # cached position is 1000 m away, its position at t = 14 s is 440 m.
+        devices = [
+            _static_device("a", (0, 0)),
+            DeviceNode("b", MobilityTrace.from_samples([0.0, 25.0], [1000.0, 0.0], [0.0, 0.0])),
+        ]
+        topology = _cached_topology(devices)
+        assert [n for n, _ in topology.neighbours("a", 14.0)] == ["b"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(movers=st.lists(_passing_trace(), min_size=1, max_size=3))
+    def test_cached_neighbours_equal_a_brute_force_scan(self, movers):
+        devices = [_static_device("origin", (0, 0), end=240.0)] + [
+            DeviceNode(f"m{i}", trace) for i, trace in enumerate(movers)
+        ]
+        topology = _cached_topology(devices)
+        for time in range(241):
+            for device_id in topology.devices:
+                expected = [
+                    other
+                    for other in topology.devices
+                    if other != device_id
+                    and topology.device_link(device_id, other, time).connected
+                ]
+                assert [n for n, _ in topology.neighbours(device_id, time)] == expected
 
     def test_active_devices_excludes_finished_trips(self):
         topology = _topology(
