@@ -52,7 +52,7 @@ from repro.experiments.registry import (
     resolve_scenario,
     sweep_names,
 )
-from repro.experiments.scenario import device_class_names, make_device_class
+from repro.experiments.scenario import device_class_names
 from repro.experiments.reporting import (
     format_run_summary,
     format_table,
@@ -68,7 +68,7 @@ from repro.experiments.serialization import (
 )
 from repro.mobility.config import MOBILITY_MODELS
 from repro.radio.config import SF_POLICIES
-from repro.routing import build_scheme, scheme_names
+from repro.routing import scheme_names
 from repro.routing.config import BUFFER_POLICIES, RoutingConfig
 
 #: Default location of the generated scenario catalogue, relative to CWD.
@@ -128,16 +128,15 @@ def run_target(
         config = apply_overrides(config, **overrides)
     except ValueError as exc:
         raise CLIError(f"invalid override: {exc}") from exc
-    # Fail on a typo'd scheme / device class / routing parameter here, not
+    # RunSpec refuses an unknown scheme or device class up front, not
     # mid-build inside a worker process (overrides and hand-edited scenario
     # files both reach this).
     try:
-        build_scheme(config.scheme, config.routing)
-        make_device_class(config.device_class)
+        spec = RunSpec(config=config)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     executor = executor or SweepExecutor()
-    return executor.run([RunSpec(config=config)])[0]
+    return executor.run([spec])[0]
 
 
 def run_sweep(

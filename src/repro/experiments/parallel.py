@@ -53,11 +53,13 @@ from repro.analysis.metrics import RunMetrics
 from repro.config_fields import config_to_dict
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import device_class_type
 from repro.experiments.serialization import scenario_from_dict, scenario_to_dict
 from repro.experiments.store import ResultStore
 from repro.mobility.config import MobilityConfig
 from repro.radio.config import RadioConfig
 from repro.routing.config import RoutingConfig
+from repro.routing.registry import scheme_factory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends → parallel)
     from repro.experiments.backends.base import ExecutionBackend, RetryPolicy
@@ -183,6 +185,11 @@ class RunSpec:
             )
         if not (_is_int(self.replicate) and self.replicate >= 0):
             raise ValueError(f"replicate must be an integer >= 0, got {self.replicate!r}")
+        # Every entry point (CLI, sweeps, work-queue jobs, the HTTP service)
+        # builds a spec, so a name that could only fail mid-build in a worker
+        # is refused here.  Two dictionary lookups: this runs on every hit.
+        scheme_factory(self.config.scheme)
+        device_class_type(self.config.device_class)
 
     @property
     def key(self) -> Tuple[str, int, float, int]:

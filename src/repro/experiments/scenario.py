@@ -10,7 +10,7 @@ and the time-varying topology they all live in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Type
 
 import numpy as np
 
@@ -49,14 +49,19 @@ def device_class_names() -> List[str]:
     return sorted(_DEVICE_CLASS_REGISTRY)
 
 
-def make_device_class(name: str) -> DeviceClass:
-    """Instantiate a device class by name."""
+def device_class_type(name: str) -> Type[DeviceClass]:
+    """The device class registered under ``name``; unknown names are a ValueError."""
     try:
-        return _DEVICE_CLASS_REGISTRY[name]()
+        return _DEVICE_CLASS_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown device class {name!r}; available: {sorted(_DEVICE_CLASS_REGISTRY)}"
         ) from None
+
+
+def make_device_class(name: str) -> DeviceClass:
+    """Instantiate a device class by name."""
+    return device_class_type(name)()
 
 
 @dataclass

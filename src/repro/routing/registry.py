@@ -45,15 +45,19 @@ def scheme_names() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def build_scheme(name: str, routing: RoutingConfig = RoutingConfig()) -> ForwardingScheme:
-    """Build a fresh forwarding scheme from its name and the routing config."""
+def scheme_factory(name: str) -> SchemeFactory:
+    """The factory registered under ``name``; unknown names are a ValueError."""
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown scheme {name!r}; available: {scheme_names()}"
         ) from None
-    return factory(routing)
+
+
+def build_scheme(name: str, routing: RoutingConfig = RoutingConfig()) -> ForwardingScheme:
+    """Build a fresh forwarding scheme from its name and the routing config."""
+    return scheme_factory(name)(routing)
 
 
 register_scheme_factory("no-routing", lambda routing: NoRoutingScheme())

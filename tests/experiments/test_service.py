@@ -232,6 +232,21 @@ class TestService:
         assert "tick_s" in payload["error"]
         assert service.jobs == jobs_before
 
+    @pytest.mark.parametrize("field", ["scheme", "device_class"])
+    @pytest.mark.parametrize("wrap", ["scenario", "spec"])
+    def test_unknown_registry_name_is_a_400_and_queues_nothing(
+        self, service, tiny_config, field, wrap
+    ):
+        # `repro run` refuses these names; the service once queued a job for
+        # them that could only fail in the worker.
+        scenario = {**scenario_to_dict(tiny_config), field: "nope"}
+        body = {"scenario": scenario} if wrap == "scenario" else {"spec": {"scenario": scenario}}
+        jobs_before = dict(service.jobs)
+        status, payload = _request(service, "POST", "/runs", body)
+        assert status == 400, payload
+        assert "'nope'" in payload["error"]
+        assert service.jobs == jobs_before
+
     def test_executor_without_store_is_rejected(self):
         with pytest.raises(ValueError, match="store"):
             CampaignService(SweepExecutor(workers=1))
