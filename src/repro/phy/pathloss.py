@@ -54,26 +54,6 @@ class PathLossModel(ABC):
         """
         return 0.0
 
-    def path_loss_db_batch(self, distances_m: np.ndarray) -> np.ndarray:
-        """Deterministic path loss for a whole array of distances at once.
-
-        The generic fallback loops over :meth:`path_loss_db`; concrete models
-        override it with a NumPy expression.  Vectorized transcendentals may
-        differ from the scalar ``math`` results in the last ULP, so batch
-        results feed analysis/pruning paths, never the bit-locked engine
-        link computations (which recompute survivors scalar-exactly).
-        """
-        query = np.asarray(distances_m, dtype=float)
-        return np.asarray([self.path_loss_db(float(d)) for d in query.ravel()]).reshape(
-            query.shape
-        )
-
-    def received_power_dbm_batch(
-        self, tx_power_dbm: float, distances_m: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized mean received power (no shadowing) for an array of distances."""
-        return tx_power_dbm - self.path_loss_db_batch(distances_m)
-
 
 class FreeSpacePathLoss(PathLossModel):
     """Free-space (Friis) path loss, mainly a reference/sanity model."""
@@ -123,12 +103,6 @@ class LogDistancePathLoss(PathLossModel):
             distance / self.reference_distance_m
         )
 
-    def path_loss_db_batch(self, distances_m: np.ndarray) -> np.ndarray:
-        distances = np.maximum(np.asarray(distances_m, dtype=float), 1.0)
-        return self.reference_loss_db + 10.0 * self.exponent * np.log10(
-            distances / self.reference_distance_m
-        )
-
     def shadowing_db(self, rng: Optional[np.random.Generator]) -> float:
         if rng is None or self.shadowing_sigma_db == 0.0:
             return 0.0
@@ -167,15 +141,3 @@ class DiscPathLoss(PathLossModel):
         if distance_m <= self.radius_m:
             return self.in_range_rssi_dbm
         return float("-inf")
-
-    def path_loss_db_batch(self, distances_m: np.ndarray) -> np.ndarray:
-        distances = np.asarray(distances_m, dtype=float)
-        return np.where(distances <= self.radius_m, 0.0, float("inf"))
-
-    def received_power_dbm_batch(
-        self, tx_power_dbm: float, distances_m: np.ndarray
-    ) -> np.ndarray:
-        distances = np.asarray(distances_m, dtype=float)
-        return np.where(
-            distances <= self.radius_m, self.in_range_rssi_dbm, float("-inf")
-        )
