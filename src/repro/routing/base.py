@@ -98,7 +98,9 @@ class ForwardingScheme(ABC):
         now: float,
     ) -> ForwardingDecision:
         """Decide one receiver: a batch of one."""
-        return self.on_overhear_batch(packet, [receiver], [link_rssi_dbm], capacity_model, now)[0]
+        return self.on_overhear_batch(
+            packet, [receiver], [link_rssi_dbm], capacity_model, now
+        )[0]
 
     def hand_over_copies(
         self, giver: EndDevice, taker: EndDevice, limit: int, now: float
