@@ -109,8 +109,8 @@ class TimeVaryingTopology:
         # and are tracked separately.  Gateways never move, so their index is
         # built once.
         self._device_index: Optional[UniformGridIndex] = None
-        # How far a cached position can lag a device's true one, from the
-        # traces' fastest segment; measured on the first neighbour query.
+        # The coarse filter's padding in ``neighbours``, from the traces'
+        # fastest segment; measured on the first neighbour query.
         self._cache_margin_m: Optional[float] = None
         self._unindexed_device_ids: List[str] = []
         self._device_order: Dict[str, int] = {
