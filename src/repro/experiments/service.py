@@ -219,6 +219,8 @@ class CampaignService:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     raise ServiceError(400, f"bad Content-Length {value.strip()!r}")
         if content_length > _MAX_BODY_BYTES:
             raise ServiceError(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")

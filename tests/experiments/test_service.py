@@ -7,6 +7,7 @@ and the drain loop are all exercised exactly as a deployment would.
 
 import json
 import pickle
+import socket
 import threading
 import time
 import urllib.error
@@ -245,6 +246,25 @@ class TestService:
         status, payload = _request(service, "POST", "/runs", body)
         assert status == 400, payload
         assert "'nope'" in payload["error"]
+        assert service.jobs == jobs_before
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_a_400_and_queues_nothing(self, service, length):
+        # urllib always sends the true length, so the header goes over a raw
+        # socket.  A negative length once reached readexactly() and was a 500.
+        jobs_before = dict(service.jobs)
+        request = (
+            "POST /runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", service.bound_port), timeout=30) as conn:
+            conn.sendall(request)
+            response = b""
+            while chunk := conn.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", response
+        assert "Content-Length" in json.loads(body)["error"]
         assert service.jobs == jobs_before
 
     def test_executor_without_store_is_rejected(self):
