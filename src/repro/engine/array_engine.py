@@ -46,7 +46,7 @@ around array-shaped state:
   :mod:`repro.phy.collision`).
 * **Raw event heap.**  Events are plain tuples on a :mod:`heapq` list,
   ordered by (time, priority, insertion order) like the oracle's
-  :class:`~repro.sim.events.EventQueue`.  Every event that runs on the heap
+  :class:`~repro.sim.kernel.Simulator`.  Every event that runs on the heap
   pops in the oracle's relative order, so every RNG draw and message id is
   identical.  Pushes mirror the oracle's one-to-one except inside retry
   chains, whose events touch only their own device and are never pushed.
@@ -99,7 +99,7 @@ from repro.phy.collision import Transmission
 from repro.phy.energy import RadioState
 from repro.radio.medium import RadioMedium
 from repro.routing.base import ForwardingScheme
-from repro.sim.events import ATTEMPT_PRIORITY, COMPLETION_PRIORITY
+from repro.sim.kernel import ATTEMPT_PRIORITY, COMPLETION_PRIORITY
 
 # Event kinds (heap entries are (time, priority, seq, kind, payload); the
 # sequence number is unique, so comparison never reaches kind/payload).
@@ -677,7 +677,7 @@ class ArrayMLoRaSimulation:
         }
 
     # ------------------------------------------------------------------ #
-    # Event heap (mirrors the oracle's EventQueue push order exactly)
+    # Event heap (mirrors the oracle Simulator's push order exactly)
     # ------------------------------------------------------------------ #
     def _push(self, time: float, priority: int, kind: int, payload) -> None:
         heappush(self._heap, (time, priority, self._seq, kind, payload))

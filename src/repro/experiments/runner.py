@@ -40,8 +40,7 @@ from repro.mac.frames import UplinkPacket
 from repro.mac.network_server import NetworkServer
 from repro.phy.collision import Transmission
 from repro.radio.medium import RadioMedium
-from repro.sim.events import ATTEMPT_PRIORITY, COMPLETION_PRIORITY
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import ATTEMPT_PRIORITY, COMPLETION_PRIORITY, Simulator
 
 
 class MLoRaSimulation:

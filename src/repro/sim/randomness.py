@@ -38,14 +38,6 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(self._derive(name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Return a child :class:`RandomStreams` whose master seed depends on ``name``.
-
-        Useful for giving each replication of a sweep its own family of
-        streams while staying reproducible from the top-level seed.
-        """
-        return RandomStreams(self._derive(name))
-
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(f"{self._seed}:{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")

@@ -13,7 +13,7 @@ from repro.mac.queueing import DataQueue
 from repro.phy.airtime import AirtimeCalculator, LoRaTransmissionParameters
 from repro.phy.constants import SpreadingFactor
 from repro.phy.link import LinkCapacityModel
-from repro.sim.events import EventQueue
+from repro.sim.kernel import Simulator
 
 CAPACITY_MODEL = LinkCapacityModel(
     max_capacity_bps=100.0, rssi_min_dbm=-120.0, rssi_max_dbm=-80.0
@@ -117,12 +117,19 @@ class TestQueueProperties:
         assert queue.pop_front(count) == messages
 
 
-class TestEventQueueProperties:
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=100))
-    @settings(max_examples=50)
-    def test_events_always_pop_in_time_order(self, times):
-        queue = EventQueue()
-        for time in times:
-            queue.schedule(time)
-        popped = [queue.pop().time for _ in range(len(times))]
-        assert popped == sorted(popped)
+class TestSimulatorProperties:
+    # Few distinct times and priorities, so most events tie on one or both.
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+                              st.integers(min_value=0, max_value=3)),
+                    min_size=1, max_size=100))
+    @settings(max_examples=100)
+    def test_events_fire_by_time_then_priority_then_insertion(self, entries):
+        # The array engine's heap mirrors this order; the two engines'
+        # bit-identity rests on it.
+        sim = Simulator()
+        fired = []
+        for index, (time, priority) in enumerate(entries):
+            sim.schedule(time, fired.append, payload=index, priority=priority)
+        assert sim.run(until=10.0) == len(entries)
+        expected = sorted(range(len(entries)), key=lambda i: (*entries[i], i))
+        assert fired == expected

@@ -1,19 +1,52 @@
-"""Unit tests for the simulator kernel and processes."""
+"""Unit tests for the simulator kernel."""
+
+import math
 
 import pytest
 
-from repro.sim.kernel import Simulator, Timeout, every
+from repro.sim.kernel import Simulator
+
+
+def _noop(_payload):
+    pass
+
+
+class TestFiringOrder:
+    def test_events_fire_in_time_order(self):
+        sim = Simulator()
+        fired = []
+        for time in (5.0, 1.0, 3.0):
+            sim.schedule(time, fired.append, payload=time)
+        sim.run(until=10.0)
+        assert fired == [1.0, 3.0, 5.0]
+
+    def test_equal_times_fire_in_insertion_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, payload="first")
+        sim.schedule(2.0, fired.append, payload="second")
+        sim.run(until=10.0)
+        assert fired == ["first", "second"]
+
+    def test_priority_breaks_ties_before_insertion_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, payload="low", priority=5)
+        sim.schedule(2.0, fired.append, payload="high", priority=1)
+        sim.run(until=10.0)
+        assert fired == ["high", "low"]
 
 
 class TestSimulatorScheduling:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
 
-    def test_run_advances_clock_to_last_event(self):
+    def test_clock_reads_event_time_inside_callback(self):
         sim = Simulator()
-        sim.schedule(3.5)
-        sim.run()
-        assert sim.now == 3.5
+        seen = []
+        sim.schedule(3.5, lambda _p: seen.append(sim.now))
+        sim.run(until=10.0)
+        assert seen == [3.5]
 
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
@@ -31,46 +64,36 @@ class TestSimulatorScheduling:
         sim.run(until=5.0)
         assert fired == ["edge"]
 
-    def test_schedule_in_is_relative_to_now(self):
-        sim = Simulator()
-        times = []
-        sim.schedule(2.0, lambda _p: sim.schedule_in(3.0, lambda _q: times.append(sim.now)))
-        sim.run()
-        assert times == [5.0]
-
     def test_scheduling_in_the_past_raises(self):
         sim = Simulator()
-        sim.schedule(2.0, lambda _p: None)
-        sim.run()
+        sim.schedule(2.0, _noop)
+        sim.run(until=2.0)
         with pytest.raises(ValueError):
-            sim.schedule(1.0)
+            sim.schedule(1.0, _noop)
 
-    def test_negative_delay_raises(self):
+    def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            Simulator().schedule_in(-1.0)
+            Simulator().schedule(-1.0, _noop)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator().schedule(math.nan, _noop)
 
     def test_run_returns_number_of_fired_events(self):
         sim = Simulator()
         for t in (1.0, 2.0, 3.0):
-            sim.schedule(t)
-        assert sim.run() == 3
-
-    def test_max_events_limits_execution(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t)
-        assert sim.run(max_events=2) == 2
-        assert sim.pending_events == 1
+            sim.schedule(t, _noop)
+        assert sim.run(until=3.0) == 3
 
 
 class TestRunUntilClock:
-    """The clock must land exactly on ``until`` whenever the run covered
-    everything scheduled up to it — including early queue drains and
-    ``max_events`` stops — and must never pass it."""
+    """The clock must land exactly on ``until`` once the run has fired
+    everything scheduled up to it — including early queue drains — and must
+    never pass it."""
 
     def test_clock_lands_on_until_when_queue_drains_early(self):
         sim = Simulator()
-        sim.schedule(1.0)
+        sim.schedule(1.0, _noop)
         sim.run(until=100.0)
         assert sim.now == 100.0
 
@@ -79,116 +102,11 @@ class TestRunUntilClock:
         sim.run(until=42.0)
         assert sim.now == 42.0
 
-    def test_clock_lands_on_until_when_max_events_exhausts_queue(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t)
-        fired = sim.run(until=10.0, max_events=3)
-        assert fired == 3
-        assert sim.now == 10.0
-
-    def test_clock_lands_on_until_when_remaining_events_are_later(self):
-        sim = Simulator()
-        sim.schedule(1.0)
-        sim.schedule(50.0)
-        sim.run(until=10.0, max_events=1)
-        assert sim.now == 10.0
-        assert sim.pending_events == 1
-
-    def test_clock_stays_at_last_event_when_backlog_remains(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t)
-        sim.run(until=10.0, max_events=1)
-        # Events at 2.0 and 3.0 are still due before `until`: jumping to 10.0
-        # would time-travel past them, so the clock holds at the fired event.
-        assert sim.now == 1.0
-        sim.run(until=10.0)
-        assert sim.now == 10.0
-        assert sim.pending_events == 0
-
     def test_clock_never_passes_until(self):
         sim = Simulator()
-        sim.schedule(4.0)
-        sim.schedule(11.0)
+        sim.schedule(4.0, _noop)
+        sim.schedule(11.0, _noop)
         sim.run(until=5.0)
         assert sim.now == 5.0
         sim.run(until=12.0)
         assert sim.now == 12.0
-
-    def test_clock_lands_on_until_when_tail_events_are_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0)
-        tail = sim.schedule(5.0)
-        tail.cancel()
-        sim.run(until=10.0)
-        assert sim.now == 10.0
-
-
-class TestProcesses:
-    def test_process_advances_through_timeouts(self):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            ticks.append(sim.now)
-            yield Timeout(2.0)
-            ticks.append(sim.now)
-            yield Timeout(3.0)
-            ticks.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert ticks == [0.0, 2.0, 5.0]
-
-    def test_process_start_delay(self):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            ticks.append(sim.now)
-            yield Timeout(1.0)
-
-        sim.process(proc(), delay=4.0)
-        sim.run()
-        assert ticks == [4.0]
-
-    def test_process_yielding_wrong_type_raises(self):
-        sim = Simulator()
-
-        def bad():
-            yield 42
-
-        sim.process(bad())
-        with pytest.raises(TypeError):
-            sim.run()
-
-    def test_stopped_process_does_not_resume(self):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            while True:
-                ticks.append(sim.now)
-                yield Timeout(1.0)
-
-        handle = sim.process(proc())
-        sim.run(until=2.5)
-        handle.stop()
-        sim.run(until=10.0)
-        assert ticks == [0.0, 1.0, 2.0]
-
-    def test_timeout_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            Timeout(-0.1)
-
-    def test_every_invokes_callback_periodically(self):
-        sim = Simulator()
-        calls = []
-        every(sim, interval=10.0, callback=calls.append, start=5.0)
-        sim.run(until=36.0)
-        assert calls == [5.0, 15.0, 25.0, 35.0]
-
-    def test_every_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError):
-            every(Simulator(), interval=0.0, callback=lambda _t: None)

@@ -28,16 +28,6 @@ class TestRandomStreams:
         first.random(3)
         assert streams.stream("x") is first
 
-    def test_spawn_is_deterministic(self):
-        a = RandomStreams(9).spawn("rep-1").stream("x").random(3)
-        b = RandomStreams(9).spawn("rep-1").stream("x").random(3)
-        assert list(a) == list(b)
-
-    def test_spawn_differs_from_parent(self):
-        parent = RandomStreams(9)
-        child = parent.spawn("rep-1")
-        assert list(parent.stream("x").random(3)) != list(child.stream("x").random(3))
-
     def test_empty_stream_name_rejected(self):
         with pytest.raises(ValueError):
             RandomStreams(0).stream("")
