@@ -11,7 +11,7 @@
   with deterministic per-run seed derivation, store-on-completion caching,
   per-run retry and per-spec failure outcomes.
 * :mod:`repro.experiments.backends` — the execution backends (``serial``,
-  ``process-pool``, multi-host ``work-queue``) and their open registry.
+  ``process-pool``, multi-host ``work-queue``), selected by name.
 * :mod:`repro.experiments.store` — the content-addressed
   :class:`ResultStore` of finished :class:`RunMetrics` with streaming
   aggregation.

@@ -1,8 +1,7 @@
-"""Pluggable execution backends for the campaign engine.
+"""Execution backends for the campaign engine.
 
 * :mod:`repro.experiments.backends.base` — the :class:`ExecutionBackend`
-  contract, :class:`RetryPolicy`/:class:`BackendOptions`, per-spec failure
-  outcomes and the open backend registry.
+  contract, :class:`RetryPolicy` and per-spec failure outcomes.
 * :mod:`repro.experiments.backends.serial` — in-process reference execution.
 * :mod:`repro.experiments.backends.process_pool` — single-machine fan-out
   over a fork-based process pool.
@@ -16,13 +15,9 @@ never change *what* it computes (pinned by
 """
 
 from repro.experiments.backends.base import (
-    BackendOptions,
     ExecutionBackend,
     RetryPolicy,
-    build_execution_backend,
-    execution_backend_names,
     failure_outcome,
-    register_execution_backend,
 )
 from repro.experiments.backends.serial import SerialBackend
 from repro.experiments.backends.process_pool import ProcessPoolBackend
@@ -33,18 +28,27 @@ from repro.experiments.backends.work_queue import (
     run_worker,
 )
 
+#: The backends ``SweepExecutor(backend=name)`` and ``--backend`` accept, each
+#: built from the executor's worker count, per-run timeout and spool directory.
+EXECUTION_BACKENDS = {
+    "serial": lambda workers, timeout_s, spool_dir: SerialBackend(),
+    "process-pool": lambda workers, timeout_s, spool_dir: ProcessPoolBackend(
+        workers=workers, timeout_s=timeout_s
+    ),
+    "work-queue": lambda workers, timeout_s, spool_dir: WorkQueueBackend(
+        spool_dir=spool_dir, lease_timeout_s=timeout_s
+    ),
+}
+
 __all__ = [
-    "BackendOptions",
+    "EXECUTION_BACKENDS",
     "ExecutionBackend",
     "RetryPolicy",
     "SerialBackend",
     "ProcessPoolBackend",
     "WorkQueueBackend",
-    "build_execution_backend",
     "claim_next_job",
-    "execution_backend_names",
     "failure_outcome",
     "process_job",
-    "register_execution_backend",
     "run_worker",
 ]

@@ -8,11 +8,6 @@ which makes every backend interchangeable: the executor hands a batch of
 ``(index, outcome)`` pairs *as runs finish*, in any order.  A run that fails
 becomes a failure outcome (:func:`failure_outcome`) instead of an exception,
 so one crashed run can never abort the batch or lose its siblings' results.
-
-Backends are registered by name, exactly like the radio/mobility/routing/
-engine subsystems: :func:`register_execution_backend` admits external
-implementations, and the built-in ``serial`` / ``process-pool`` /
-``work-queue`` backends register themselves through the same door.
 """
 
 from __future__ import annotations
@@ -21,19 +16,7 @@ import math
 import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    ClassVar,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel → backends)
     from repro.experiments.parallel import RunOutcome, RunSpec
@@ -79,24 +62,10 @@ class RetryPolicy:
         return min(self.backoff_cap_s, self.backoff_base_s * 2.0 ** (attempt - 1))
 
 
-@dataclass(frozen=True)
-class BackendOptions:
-    """Everything the executor knows that a backend factory might need.
-
-    A structured options object (rather than ``**kwargs``) keeps factory
-    signatures uniform so external backends receive the same information as
-    the built-ins.
-    """
-
-    workers: int = 1
-    timeout_s: Optional[float] = None
-    spool_dir: Optional[Union[str, Path]] = None
-
-
 class ExecutionBackend(ABC):
     """Executes batches of run specs; yields outcomes as they complete."""
 
-    #: Registry name of the backend (set by subclasses).
+    #: Name of the backend (set by subclasses; ``/health`` reports it).
     name: ClassVar[str] = "abstract"
 
     #: A backend that owns durable result storage (the work-queue spool)
@@ -136,37 +105,3 @@ def failure_outcome(
     return RunOutcome(
         spec=spec, metrics=None, wall_time_s=wall_time_s, error=message
     )
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-#: A factory maps the executor's options to a fresh backend instance.
-BackendFactory = Callable[[BackendOptions], ExecutionBackend]
-
-_FACTORIES: Dict[str, BackendFactory] = {}
-
-
-def register_execution_backend(name: str, factory: BackendFactory) -> None:
-    """Register a backend factory; names are unique."""
-    if name in _FACTORIES:
-        raise ValueError(f"duplicate execution backend name {name!r}")
-    _FACTORIES[name] = factory
-
-
-def execution_backend_names() -> List[str]:
-    """The registered backend names (sorted)."""
-    return sorted(_FACTORIES)
-
-
-def build_execution_backend(
-    name: str, options: BackendOptions = BackendOptions()
-) -> ExecutionBackend:
-    """Build a fresh backend from its registry name and the executor options."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; available: {execution_backend_names()}"
-        ) from None
-    return factory(options)

@@ -22,11 +22,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.experiments.backends.base import (
-    ExecutionBackend,
-    failure_outcome,
-    register_execution_backend,
-)
+from repro.experiments.backends.base import ExecutionBackend, failure_outcome
 from repro.experiments.parallel import RunOutcome, RunSpec, execute_spec
 
 
@@ -105,11 +101,3 @@ class ProcessPoolBackend(ExecutionBackend):
             # After a timeout we must not block on abandoned runs; otherwise
             # draining normally is the clean shutdown.
             pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-
-register_execution_backend(
-    "process-pool",
-    lambda options: ProcessPoolBackend(
-        workers=options.workers, timeout_s=options.timeout_s
-    ),
-)

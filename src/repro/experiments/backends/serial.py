@@ -17,11 +17,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Sequence, Tuple
 
-from repro.experiments.backends.base import (
-    ExecutionBackend,
-    failure_outcome,
-    register_execution_backend,
-)
+from repro.experiments.backends.base import ExecutionBackend, failure_outcome
 from repro.experiments.parallel import RunOutcome, RunSpec, execute_spec
 
 
@@ -40,6 +36,3 @@ class SerialBackend(ExecutionBackend):
             except Exception as exc:
                 outcome = failure_outcome(spec, exc, time.perf_counter() - start)
             yield index, outcome
-
-
-register_execution_backend("serial", lambda options: SerialBackend())

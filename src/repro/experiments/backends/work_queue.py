@@ -40,11 +40,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.backends.base import (
-    ExecutionBackend,
-    failure_outcome,
-    register_execution_backend,
-)
+from repro.experiments.backends.base import ExecutionBackend, failure_outcome
 from repro.experiments.parallel import (
     RunOutcome,
     RunSpec,
@@ -227,15 +223,6 @@ class WorkQueueBackend(ExecutionBackend):
                 continue  # the worker finished (or another submitter requeued)
             except OSError:
                 continue
-
-
-register_execution_backend(
-    "work-queue",
-    lambda options: WorkQueueBackend(
-        spool_dir=options.spool_dir,
-        lease_timeout_s=options.timeout_s,
-    ),
-)
 
 
 # --------------------------------------------------------------------- #

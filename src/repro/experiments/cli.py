@@ -33,11 +33,7 @@ from typing import Any, Optional, Sequence
 
 from repro.config_fields import field_table
 from repro.engine import ENGINES
-from repro.experiments.backends import (
-    RetryPolicy,
-    execution_backend_names,
-    run_worker,
-)
+from repro.experiments.backends import EXECUTION_BACKENDS, RetryPolicy, run_worker
 from repro.experiments.parallel import RunOutcome, RunSpec, SweepExecutor, config_digest
 from repro.experiments.registry import (
     SweepArtifact,
@@ -468,7 +464,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="on-disk RunMetrics store shared across invocations and hosts",
     )
     parser.add_argument(
-        "--backend", default=None, choices=execution_backend_names(),
+        "--backend", default=None, choices=sorted(EXECUTION_BACKENDS),
         help="execution backend (default: serial, or process-pool when "
              "--workers > 1; results are bit-identical either way)",
     )

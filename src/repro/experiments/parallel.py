@@ -305,9 +305,8 @@ class SweepExecutor:
         served from disk.  When unset and the backend owns durable storage
         (the work-queue spool), that store is adopted instead.
     backend:
-        A registry name (``serial`` / ``process-pool`` / ``work-queue`` /
-        anything registered via
-        :func:`~repro.experiments.backends.register_execution_backend`) or a
+        A backend name (``serial`` / ``process-pool`` / ``work-queue``, the
+        keys of :data:`~repro.experiments.backends.EXECUTION_BACKENDS`) or a
         ready :class:`ExecutionBackend` instance.  ``None`` picks from
         ``workers`` as above.
     retry:
@@ -328,11 +327,10 @@ class SweepExecutor:
         retry: Optional["RetryPolicy"] = None,
         spool_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        from repro.experiments.backends.base import (
-            BackendOptions,
+        from repro.experiments.backends import (
+            EXECUTION_BACKENDS,
             ExecutionBackend,
             RetryPolicy,
-            build_execution_backend,
         )
 
         if workers < 1:
@@ -342,17 +340,17 @@ class SweepExecutor:
         if backend is None:
             backend = "serial" if self.workers == 1 else "process-pool"
         if isinstance(backend, str):
-            backend = build_execution_backend(
-                backend,
-                BackendOptions(
-                    workers=self.workers,
-                    timeout_s=self.retry.timeout_s,
-                    spool_dir=spool_dir,
-                ),
-            )
+            try:
+                build = EXECUTION_BACKENDS[backend]
+            except KeyError:
+                raise ValueError(
+                    f"unknown execution backend {backend!r}; "
+                    f"available: {sorted(EXECUTION_BACKENDS)}"
+                ) from None
+            backend = build(self.workers, self.retry.timeout_s, spool_dir)
         if not isinstance(backend, ExecutionBackend):
             raise TypeError(
-                f"backend must be a registry name or an ExecutionBackend, "
+                f"backend must be a backend name or an ExecutionBackend, "
                 f"got {type(backend).__name__}"
             )
         self.backend = backend

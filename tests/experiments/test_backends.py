@@ -18,13 +18,9 @@ import time
 import pytest
 
 from repro.experiments.backends import (
-    BackendOptions,
     ExecutionBackend,
     RetryPolicy,
-    build_execution_backend,
-    execution_backend_names,
     failure_outcome,
-    register_execution_backend,
     run_worker,
 )
 from repro.experiments.backends.work_queue import (
@@ -102,30 +98,18 @@ def _drain_worker(spool_dir, max_jobs=None):
 
 
 class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        names = execution_backend_names()
-        assert {"serial", "process-pool", "work-queue"} <= set(names)
-
-    def test_registry_is_open(self, tiny_config):
-        class EchoBackend(ExecutionBackend):
-            name = "echo-test"
-
-            def execute(self, items):
-                for index, spec in items:
-                    yield index, execute_spec(spec)
-
-        register_execution_backend("echo-test", lambda options: EchoBackend())
-        backend = build_execution_backend("echo-test", BackendOptions())
-        outcomes = SweepExecutor(backend=backend).run([RunSpec(config=tiny_config)])
-        assert outcomes[0].ok
+    @pytest.mark.parametrize("name", ["serial", "process-pool", "work-queue"])
+    def test_builtin_backends_are_registered(self, name, tmp_path):
+        executor = SweepExecutor(workers=2, backend=name, spool_dir=tmp_path)
+        assert executor.backend.name == name
 
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(ValueError, match="work-queue"):
-            build_execution_backend("bogus", BackendOptions())
+            SweepExecutor(backend="bogus")
 
     def test_work_queue_requires_spool_dir(self):
         with pytest.raises(ValueError, match="spool"):
-            build_execution_backend("work-queue", BackendOptions())
+            SweepExecutor(backend="work-queue")
 
 
 class TestBackendEquivalence:
