@@ -224,7 +224,14 @@ class CampaignService:
                     raise ServiceError(400, f"bad Content-Length {value.strip()!r}")
         if content_length > _MAX_BODY_BYTES:
             raise ServiceError(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            body = await reader.readexactly(content_length) if content_length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise ServiceError(
+                400,
+                f"request body ended after {len(exc.partial)} of "
+                f"{content_length} Content-Length bytes",
+            ) from None
         return self._route(method, path, body)
 
     # ------------------------------------------------------------------ #

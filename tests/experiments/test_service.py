@@ -267,6 +267,25 @@ class TestService:
         assert "Content-Length" in json.loads(body)["error"]
         assert service.jobs == jobs_before
 
+    def test_body_shorter_than_content_length_is_a_400(self, service):
+        # The client shuts its side after 2 of 10 promised bytes; readexactly()
+        # raised IncompleteReadError, which was a 500.
+        jobs_before = dict(service.jobs)
+        request = (
+            "POST /runs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Length: 10\r\nConnection: close\r\n\r\n{}"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", service.bound_port), timeout=30) as conn:
+            conn.sendall(request)
+            conn.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := conn.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", response
+        assert "2 of 10" in json.loads(body)["error"]
+        assert service.jobs == jobs_before
+
     def test_executor_without_store_is_rejected(self):
         with pytest.raises(ValueError, match="store"):
             CampaignService(SweepExecutor(workers=1))
