@@ -18,7 +18,9 @@ import time
 import pytest
 
 from repro.experiments.backends import (
+    EXECUTION_BACKENDS,
     ExecutionBackend,
+    ProcessPoolBackend,
     RetryPolicy,
     failure_outcome,
     run_worker,
@@ -110,6 +112,39 @@ class TestRegistry:
     def test_work_queue_requires_spool_dir(self):
         with pytest.raises(ValueError, match="spool"):
             SweepExecutor(backend="work-queue")
+
+    def test_table_holds_exactly_the_builtins(self):
+        assert sorted(EXECUTION_BACKENDS) == ["process-pool", "serial", "work-queue"]
+
+    @pytest.mark.parametrize("workers, name", [(1, "serial"), (3, "process-pool")])
+    def test_default_backend_follows_the_worker_count(self, workers, name):
+        assert SweepExecutor(workers=workers).backend.name == name
+
+    def test_process_pool_gets_the_workers_and_run_timeout(self):
+        executor = SweepExecutor(
+            workers=3, backend="process-pool", retry=RetryPolicy(timeout_s=12.5)
+        )
+        assert isinstance(executor.backend, ProcessPoolBackend)
+        assert executor.backend.workers == 3
+        assert executor.backend.timeout_s == 12.5
+
+    def test_work_queue_gets_the_spool_and_lease_timeout(self, tmp_path):
+        executor = SweepExecutor(
+            backend="work-queue", spool_dir=tmp_path, retry=RetryPolicy(timeout_s=7.0)
+        )
+        assert isinstance(executor.backend, WorkQueueBackend)
+        assert executor.backend.spool.root == tmp_path
+        assert executor.backend.lease_timeout_s == 7.0
+        # The spool's store is the executor's cache, so campaigns resume.
+        assert executor.store is executor.backend.store
+
+    def test_backend_instance_is_used_as_given(self):
+        backend = ProcessPoolBackend(workers=2)
+        assert SweepExecutor(workers=5, backend=backend).backend is backend
+
+    def test_non_backend_object_rejected(self):
+        with pytest.raises(TypeError, match="ExecutionBackend"):
+            SweepExecutor(backend=object())  # type: ignore[arg-type]
 
 
 class TestBackendEquivalence:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.config_fields import replace_fields
 from repro.engine import ENGINE_ENV_VAR
+from repro.experiments.backends import EXECUTION_BACKENDS
 from repro.experiments.cli import (
     _overrides_from,
     build_executor,
@@ -319,6 +320,11 @@ class TestCampaignFlags:
         assert "messages_delivered" in capsys.readouterr().out
         # The retried-capable run still landed in the (sharded) cache.
         assert list(tmp_path.rglob("*.pkl"))
+
+    @pytest.mark.parametrize("name", sorted(EXECUTION_BACKENDS))
+    def test_backend_choices_are_the_executor_table(self, name):
+        args = build_parser().parse_args(["run", "urban-smoke", "--backend", name])
+        assert args.backend == name
 
     def test_unknown_backend_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):

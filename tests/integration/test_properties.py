@@ -133,3 +133,23 @@ class TestSimulatorProperties:
         assert sim.run(until=10.0) == len(entries)
         expected = sorted(range(len(entries)), key=lambda i: (*entries[i], i))
         assert fired == expected
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+                              st.integers(min_value=0, max_value=3)),
+                    min_size=1, max_size=60),
+           st.lists(st.sampled_from([0.0, 0.5, 0.75, 1.0, 3.0, 7.25]),
+                    max_size=4))
+    @settings(max_examples=100)
+    def test_split_runs_fire_like_one_run(self, entries, stops):
+        # Stopping at any clock readings and resuming fires the same events
+        # in the same order as one run to the end.
+        whole, split = Simulator(), Simulator()
+        whole_fired, split_fired = [], []
+        for index, (time, priority) in enumerate(entries):
+            whole.schedule(time, whole_fired.append, payload=index, priority=priority)
+            split.schedule(time, split_fired.append, payload=index, priority=priority)
+        counts = [split.run(until=stop) for stop in sorted(stops)]
+        counts.append(split.run(until=10.0))
+        assert whole.run(until=10.0) == sum(counts) == len(entries)
+        assert split_fired == whole_fired
+        assert split.now == whole.now == 10.0

@@ -1,5 +1,8 @@
 """Unit tests for named random streams."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.sim.randomness import RandomStreams
@@ -27,6 +30,44 @@ class TestRandomStreams:
         first = streams.stream("x")
         first.random(3)
         assert streams.stream("x") is first
+
+    def test_streams_do_not_depend_on_creation_order(self):
+        forward = RandomStreams(9)
+        a_first = forward.stream("a").random(4)
+        b_second = forward.stream("b").random(4)
+        backward = RandomStreams(9)
+        b_first = backward.stream("b").random(4)
+        a_second = backward.stream("a").random(4)
+        assert list(a_first) == list(a_second)
+        assert list(b_second) == list(b_first)
+
+    def test_drawing_from_one_stream_leaves_another_unchanged(self):
+        quiet = RandomStreams(5)
+        busy = RandomStreams(5)
+        busy.stream("scheme").random(1000)
+        assert list(busy.stream("mobility").random(4)) == list(
+            quiet.stream("mobility").random(4)
+        )
+
+    def test_stream_seed_is_derived_from_seed_and_name(self):
+        # Pins the derivation every stored result depends on:
+        # sha256("<seed>:<name>"), first 8 bytes little-endian.
+        digest = hashlib.sha256(b"0:mobility").digest()
+        expected = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        assert list(RandomStreams(0).stream("mobility").random(4)) == list(
+            expected.random(4)
+        )
+
+    def test_numpy_integer_seed_matches_int_seed(self):
+        a = RandomStreams(np.int64(11)).stream("x").random(3)
+        b = RandomStreams(11).stream("x").random(3)
+        assert list(a) == list(b)
+        assert type(RandomStreams(np.int64(11)).seed) is int
+
+    @pytest.mark.parametrize("seed", [1.0, None])
+    def test_non_integer_seeds_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            RandomStreams(seed)  # type: ignore[arg-type]
 
     def test_empty_stream_name_rejected(self):
         with pytest.raises(ValueError):
