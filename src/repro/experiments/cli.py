@@ -63,6 +63,7 @@ from repro.experiments.serialization import (
     scenario_to_json,
 )
 from repro.mobility.config import MOBILITY_MODELS
+from repro.mobility.models import load_traces_csv
 from repro.radio.config import SF_POLICIES
 from repro.routing import scheme_names
 from repro.routing.config import BUFFER_POLICIES, RoutingConfig
@@ -131,6 +132,13 @@ def run_target(
         spec = RunSpec(config=config)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    # A bad trace file is a bad input, not a failed run: read it here so it
+    # is one error line, not a traceback from inside the executor.
+    if config.mobility.model == "trace-file":
+        try:
+            load_traces_csv(config.mobility.trace_file)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from exc
     executor = executor or SweepExecutor()
     return executor.run([spec])[0]
 

@@ -251,10 +251,13 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
         if not node_id:
             raise ValueError(f"trace file {source}, line {line}: empty node_id")
         samples.setdefault(node_id, []).append(point)
-    return {
-        node_id: MobilityTrace(points, node_id=node_id)
-        for node_id, points in samples.items()
-    }
+    traces: Dict[str, MobilityTrace] = {}
+    for node_id, points in samples.items():
+        try:
+            traces[node_id] = MobilityTrace(points, node_id=node_id)
+        except ValueError as exc:
+            raise ValueError(f"trace file {source}, node {node_id!r}: {exc}") from exc
+    return traces
 
 
 def save_traces_csv(

@@ -186,6 +186,29 @@ class TestSmoke:
         assert main(["run", str(path)]) == 2
         assert "unknown scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (None, "cannot read trace file"),
+            ("node,time_s,x_m,y_m\na,0,0,0\n", "must start with the header"),
+            ("node_id,time_s,x_m,y_m\na,-1,0,0\n", "line 2: trace time must be non-negative"),
+            (
+                "node_id,time_s,x_m,y_m\na,0,0,0\nb,5,1,1\nb,5,2,2\n",
+                "node 'b': trace times must be strictly increasing",
+            ),
+        ],
+        ids=["missing", "header", "negative-time", "repeated-time"],
+    )
+    def test_run_bad_trace_file_fails_cleanly(self, tmp_path, capsys, body, expected):
+        path = tmp_path / "traces.csv"
+        if body is not None:
+            path.write_text(body, encoding="utf-8")
+        assert main(["run", "urban-smoke", "--trace-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+        assert expected in err
+
     def test_run_invalid_workers_fails_cleanly(self, capsys, monkeypatch):
         assert main(["run", "urban-smoke", "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
