@@ -8,13 +8,14 @@ bus network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.mobility.geometry import BoundingBox, Point
-from repro.mobility.trace import MobilityTrace, TracePoint
+from repro.mobility.trace import MobilityTrace
 
 
 @dataclass(frozen=True)
@@ -61,29 +62,38 @@ class RandomWaypointMobility:
             raise ValueError("pause_s must be non-negative")
 
     def traces(self, rng: np.random.Generator, prefix: str = "rwp") -> List[MobilityTrace]:
-        """Generate one trace per node using ``rng``."""
-        return [
-            self._single_trace(rng, f"{prefix}-{index:03d}") for index in range(self.num_nodes)
-        ]
+        """Generate one trace per node using ``rng``, all in one sample block."""
+        box = self.bounding_box
+        times: List[float] = []
+        xs: List[float] = []
+        ys: List[float] = []
+        ends: List[int] = []
 
-    def _random_point(self, rng: np.random.Generator) -> Point:
-        return Point(
-            float(rng.uniform(self.bounding_box.min_x, self.bounding_box.max_x)),
-            float(rng.uniform(self.bounding_box.min_y, self.bounding_box.max_y)),
-        )
+        def random_point() -> Tuple[float, float]:
+            return (
+                float(rng.uniform(box.min_x, box.max_x)),
+                float(rng.uniform(box.min_y, box.max_y)),
+            )
 
-    def _single_trace(self, rng: np.random.Generator, node_id: str) -> MobilityTrace:
-        time = 0.0
-        position = self._random_point(rng)
-        points: List[TracePoint] = [TracePoint(time, position)]
-        while time < self.duration_s:
-            destination = self._random_point(rng)
-            speed = float(rng.uniform(self.min_speed_mps, self.max_speed_mps))
-            travel_time = position.distance_to(destination) / speed
-            time += max(travel_time, 1e-6)
-            points.append(TracePoint(time, destination))
-            position = destination
-            if self.pause_s > 0 and time < self.duration_s:
-                time += self.pause_s
-                points.append(TracePoint(time, destination))
-        return MobilityTrace(points, node_id=node_id)
+        for _ in range(self.num_nodes):
+            time = 0.0
+            x, y = random_point()
+            times.append(time)
+            xs.append(x)
+            ys.append(y)
+            while time < self.duration_s:
+                next_x, next_y = random_point()
+                speed = float(rng.uniform(self.min_speed_mps, self.max_speed_mps))
+                time += max(math.hypot(x - next_x, y - next_y) / speed, 1e-6)
+                x, y = next_x, next_y
+                times.append(time)
+                xs.append(x)
+                ys.append(y)
+                if self.pause_s > 0 and time < self.duration_s:
+                    time += self.pause_s
+                    times.append(time)
+                    xs.append(x)
+                    ys.append(y)
+            ends.append(len(times))
+        node_ids = [f"{prefix}-{index:03d}" for index in range(self.num_nodes)]
+        return MobilityTrace.from_block(times, xs, ys, ends, node_ids)

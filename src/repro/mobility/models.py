@@ -22,16 +22,16 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Type, Union
+from typing import Dict, List, Mapping, Tuple, Type, Union
 
 import numpy as np
 
 from repro.mobility.config import MOBILITY_MODELS, MobilityConfig
 from repro.mobility.generators import RandomWaypointMobility
-from repro.mobility.geometry import BoundingBox, Point
+from repro.mobility.geometry import BoundingBox
 from repro.mobility.london import LondonBusNetworkConfig, LondonBusNetworkGenerator
-from repro.mobility.route import build_trip_trace
-from repro.mobility.trace import MobilityTrace, TracePoint
+from repro.mobility.route import build_trip_traces
+from repro.mobility.trace import MobilityTrace
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,9 @@ class LondonBusModel(MobilityModel):
 
     def build(self, spec: MobilitySpec, rng: np.random.Generator) -> MobilityBuild:
         generator = LondonBusNetworkGenerator(spec.network, rng)
-        timetable = generator.generate()
-        traces: Dict[str, MobilityTrace] = {}
-        for index, trip in enumerate(timetable.trips):
-            node_id = f"bus-{index:04d}"
-            traces[node_id] = build_trip_trace(trip, node_id=node_id)
+        trips = generator.generate().trips
+        node_ids = [f"bus-{index:04d}" for index in range(len(trips))]
+        traces = dict(zip(node_ids, build_trip_traces(trips, node_ids)))
         return MobilityBuild(bounding_box=generator.bounding_box, traces=traces)
 
 
@@ -130,55 +128,52 @@ class GridManhattanModel(MobilityModel):
         rows = max(int(box.height // spec.mobility.grid_spacing_m) + 1, 2)
         spacing_x = box.width / (columns - 1)
         spacing_y = box.height / (rows - 1)
-        traces: Dict[str, MobilityTrace] = {}
-        for index in range(spec.fleet_size()):
-            node_id = f"manhattan-{index:04d}"
-            traces[node_id] = self._single_trace(
-                spec, rng, node_id, box, columns, rows, spacing_x, spacing_y
-            )
-        return MobilityBuild(bounding_box=box, traces=traces)
 
-    def _single_trace(
-        self,
-        spec: MobilitySpec,
-        rng: np.random.Generator,
-        node_id: str,
-        box: BoundingBox,
-        columns: int,
-        rows: int,
-        spacing_x: float,
-        spacing_y: float,
-    ) -> MobilityTrace:
-        def intersection(col: int, row: int) -> Point:
-            return Point(box.min_x + col * spacing_x, box.min_y + row * spacing_y)
+        def position(col: int, row: int) -> Tuple[float, float]:
+            return box.min_x + col * spacing_x, box.min_y + row * spacing_y
 
-        col = int(rng.integers(0, columns))
-        row = int(rng.integers(0, rows))
-        time = 0.0
-        points: List[TracePoint] = [TracePoint(time, intersection(col, row))]
-        while time < spec.duration_s:
-            moves = []
-            if col > 0:
-                moves.append((col - 1, row))
-            if col < columns - 1:
-                moves.append((col + 1, row))
-            if row > 0:
-                moves.append((col, row - 1))
-            if row < rows - 1:
-                moves.append((col, row + 1))
-            next_col, next_row = moves[int(rng.integers(0, len(moves)))]
-            origin = intersection(col, row)
-            destination = intersection(next_col, next_row)
-            speed = float(
-                rng.uniform(spec.mobility.min_speed_mps, spec.mobility.max_speed_mps)
-            )
-            time += max(origin.distance_to(destination) / speed, 1e-6)
-            points.append(TracePoint(time, destination))
-            col, row = next_col, next_row
-            if spec.mobility.pause_s > 0 and time < spec.duration_s:
-                time += spec.mobility.pause_s
-                points.append(TracePoint(time, destination))
-        return MobilityTrace(points, node_id=node_id)
+        pause = spec.mobility.pause_s
+        times: List[float] = []
+        xs: List[float] = []
+        ys: List[float] = []
+        ends: List[int] = []
+        for _ in range(spec.fleet_size()):
+            col = int(rng.integers(0, columns))
+            row = int(rng.integers(0, rows))
+            time = 0.0
+            x, y = position(col, row)
+            times.append(time)
+            xs.append(x)
+            ys.append(y)
+            while time < spec.duration_s:
+                moves = []
+                if col > 0:
+                    moves.append((col - 1, row))
+                if col < columns - 1:
+                    moves.append((col + 1, row))
+                if row > 0:
+                    moves.append((col, row - 1))
+                if row < rows - 1:
+                    moves.append((col, row + 1))
+                col, row = moves[int(rng.integers(0, len(moves)))]
+                next_x, next_y = position(col, row)
+                speed = float(
+                    rng.uniform(spec.mobility.min_speed_mps, spec.mobility.max_speed_mps)
+                )
+                time += max(math.hypot(x - next_x, y - next_y) / speed, 1e-6)
+                x, y = next_x, next_y
+                times.append(time)
+                xs.append(x)
+                ys.append(y)
+                if pause > 0 and time < spec.duration_s:
+                    time += pause
+                    times.append(time)
+                    xs.append(x)
+                    ys.append(y)
+            ends.append(len(times))
+        node_ids = [f"manhattan-{index:04d}" for index in range(len(ends))]
+        traces = MobilityTrace.from_block(times, xs, ys, ends, node_ids)
+        return MobilityBuild(bounding_box=box, traces=dict(zip(node_ids, traces)))
 
 
 class TraceFileModel(MobilityModel):
@@ -238,26 +233,32 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
             f"trace file {source} must start with the header "
             f"{','.join(TRACE_CSV_FIELDS)!r}, got {reader.fieldnames!r}"
         )
-    samples: Dict[str, List[TracePoint]] = {}
+    samples: Dict[str, List[Tuple[float, float, float]]] = {}
     for line, row in enumerate(reader, start=2):
         try:
             node_id = row["node_id"]
-            time, x, y = (float(row[field]) for field in TRACE_CSV_FIELDS[1:])
-            if not all(map(math.isfinite, (time, x, y))):
-                raise ValueError(f"non-finite sample ({time}, {x}, {y})")
-            point = TracePoint(time, Point(x, y))
+            sample = tuple(float(row[field]) for field in TRACE_CSV_FIELDS[1:])
+            if not all(map(math.isfinite, sample)):
+                raise ValueError(f"non-finite sample {sample}")
+            if sample[0] < 0:
+                raise ValueError(f"trace time must be non-negative, got {sample[0]}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace file {source}, line {line}: {exc}") from exc
         if not node_id:
             raise ValueError(f"trace file {source}, line {line}: empty node_id")
-        samples.setdefault(node_id, []).append(point)
-    traces: Dict[str, MobilityTrace] = {}
-    for node_id, points in samples.items():
-        try:
-            traces[node_id] = MobilityTrace(points, node_id=node_id)
-        except ValueError as exc:
-            raise ValueError(f"trace file {source}, node {node_id!r}: {exc}") from exc
-    return traces
+        samples.setdefault(node_id, []).append(sample)
+    if not samples:
+        return {}
+    # Each node's samples in time order (stable, so a repeated timestamp
+    # stays a repeat), all nodes in one block.
+    nodes = [sorted(node_samples, key=lambda s: s[0]) for node_samples in samples.values()]
+    times, xs, ys = zip(*(sample for node in nodes for sample in node))
+    ends = np.cumsum([len(node) for node in nodes])
+    try:
+        traces = MobilityTrace.from_block(times, xs, ys, ends, list(samples))
+    except ValueError as exc:
+        raise ValueError(f"trace file {source}, {exc}") from exc
+    return dict(zip(samples, traces))
 
 
 def save_traces_csv(

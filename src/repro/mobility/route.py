@@ -3,21 +3,21 @@
 A :class:`BusRoute` is an ordered list of stops (waypoints) on the plane.  A
 :class:`Trip` is one vehicle serving that route starting at a given time with
 a given cruising speed and per-stop dwell time — the synthetic counterpart of
-one row of a TFL timetable.  :func:`build_trip_trace` converts a trip into the
-piecewise-linear :class:`~repro.mobility.trace.MobilityTrace` the network
-layer consumes.
+one row of a TFL timetable.  :func:`build_trip_traces` converts trips into the
+piecewise-linear :class:`~repro.mobility.trace.MobilityTrace` objects the
+network layer consumes, a block of trips per array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mobility.geometry import Point
-from repro.mobility.trace import MobilityTrace
+from repro.mobility.trace import TRACE_CHUNK_SAMPLES, MobilityTrace
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,16 @@ class BusRoute:
         if self.round_trip:
             points += list(reversed(points[:-1]))
         return points
+
+    @property
+    def repeat_start(self) -> int:
+        """Index of the first waypoint a repeated service run adds.
+
+        1 when the route ends where it starts (round trips and closed
+        orbitals), so the joining waypoint is not duplicated; else 0.
+        """
+        waypoints = self.waypoints
+        return 1 if waypoints[-1].distance_to(waypoints[0]) < 1e-9 else 0
 
     def length_m(self) -> float:
         """Total path length of one service run in metres."""
@@ -76,13 +86,7 @@ class Trip:
     def _waypoints(self) -> List[Point]:
         """Waypoints of the whole service block (route repeated ``repeats`` times)."""
         single = self.route.waypoints
-        waypoints = list(single)
-        for _ in range(self.repeats - 1):
-            # Skip the duplicated joining waypoint when the route ends where
-            # it started (round trips and closed orbitals).
-            start_index = 1 if single[-1].distance_to(single[0]) < 1e-9 else 0
-            waypoints += single[start_index:]
-        return waypoints
+        return single + single[self.route.repeat_start:] * (self.repeats - 1)
 
     def duration_s(self) -> float:
         """Total service duration: driving time plus dwell at intermediate stops."""
@@ -94,38 +98,122 @@ class Trip:
         return driving + intermediate_stops * self.dwell_time_s
 
 
-def build_trip_trace(trip: Trip, node_id: str = "") -> MobilityTrace:
-    """Convert a :class:`Trip` into a :class:`MobilityTrace`.
+def build_trip_traces(
+    trips: Sequence[Trip],
+    node_ids: Optional[Sequence[str]] = None,
+    chunk_samples: int = TRACE_CHUNK_SAMPLES,
+) -> List[MobilityTrace]:
+    """Convert trips into :class:`MobilityTrace` objects, in trip order.
 
-    The bus departs the first stop at ``trip.start_time``, drives each leg at
-    constant ``speed_mps`` and dwells ``dwell_time_s`` at every intermediate
-    stop.  Dwells are represented by a pair of samples at the same position so
-    interpolation keeps the bus stationary during the dwell.  Zero-length legs
-    (repeated stops) add no sample.
+    Each bus departs its first stop at ``trip.start_time``, drives each leg
+    at constant ``speed_mps`` and dwells ``dwell_time_s`` at every
+    intermediate stop.  Dwells are represented by a pair of samples at the
+    same position so interpolation keeps the bus stationary during the
+    dwell.  Zero-length legs (repeated stops) add no sample.  Trace ``i`` is
+    named ``node_ids[i]`` (default: the trip id).
 
-    The samples are built as arrays, bit-identical to the scalar walk
-    ``time += leg; time += dwell``: leg lengths come from ``math.hypot`` as in
-    :meth:`Point.distance_to`, and ``np.cumsum`` adds in the same order.
+    The traces are built in whole-block array passes, bit-identical to the
+    scalar walk ``time += leg; time += dwell`` of each trip:
+
+    * leg lengths come once per route from ``math.hypot``, as in
+      :meth:`Point.distance_to`, and repeat with the route's waypoints up to
+      its longest block — a shorter block's waypoints are a prefix of them;
+    * each trip is a row ``[start, leg, dwell, leg, dwell, …, leg]`` of a
+      padded step matrix whose absent steps (zero-length legs, no dwell,
+      padding) are exact ``0.0`` no-ops, so ``np.cumsum(axis=1)`` adds in
+      the scalar order and a mask keeps the samples that exist;
+    * rows are grouped into blocks of about ``chunk_samples`` padded steps,
+      which bounds the transients, and each block becomes traces at once
+      through :meth:`MobilityTrace.from_block`.
     """
-    waypoints = trip._waypoints()
-    stop_x = np.array([p.x for p in waypoints], dtype=float)
-    stop_y = np.array([p.y for p in waypoints], dtype=float)
-    lengths = np.array(list(map(
-        math.hypot, (stop_x[:-1] - stop_x[1:]).tolist(), (stop_y[:-1] - stop_y[1:]).tolist()
-    )))
-    leg_times = lengths / trip.speed_mps
-    # Each leg contributes up to two samples, arrival then dwell, in that
-    # order; the masks pick which exist.  No dwell follows the last leg.
-    arrives = leg_times > 0
-    dwells = arrives & (trip.dwell_time_s > 0)
-    dwells[-1] = False
-    keep = np.column_stack((arrives, dwells)).ravel()
-    steps = np.column_stack((leg_times, np.full(leg_times.size, trip.dwell_time_s)))
-    times = np.cumsum(np.concatenate(([trip.start_time], steps.ravel()[keep])))
-    stops = np.concatenate(([0], np.repeat(np.arange(1, len(waypoints)), 2)[keep]))
-    return MobilityTrace.from_samples(
-        times, stop_x[stops], stop_y[stops], node_id=node_id or trip.trip_id
+    if node_ids is None:
+        node_ids = [trip.trip_id for trip in trips]
+    if len(node_ids) != len(trips):
+        raise ValueError("build_trip_traces needs one node id per trip")
+    # One table of every route's waypoints and legs, each route laid out for
+    # its longest block.
+    routes: Dict[int, Tuple[BusRoute, int]] = {}
+    for trip in trips:
+        route, most = routes.get(id(trip.route), (trip.route, 0))
+        routes[id(trip.route)] = (route, max(most, trip.repeats))
+    table_x: List[float] = []
+    table_y: List[float] = []
+    table_legs: List[float] = []
+    layout: Dict[int, Tuple[int, int, int]] = {}
+    for key, (route, most) in routes.items():
+        waypoints = route.waypoints
+        xs = [float(p.x) for p in waypoints]
+        ys = [float(p.y) for p in waypoints]
+        # Leg w runs from waypoint w to w + 1; each further run starts with
+        # the leg joining the last waypoint to waypoint ``again``.
+        legs = list(map(
+            math.hypot, [a - b for a, b in zip(xs, xs[1:])], [a - b for a, b in zip(ys, ys[1:])]
+        ))
+        again = route.repeat_start
+        join = math.hypot(xs[-1] - xs[again], ys[-1] - ys[again])
+        layout[key] = (len(table_x), len(legs), len(xs) - again)
+        table_x += xs + xs[again:] * (most - 1)
+        table_y += ys + ys[again:] * (most - 1)
+        # The route's last waypoint starts no leg: 0.0 keeps rows aligned.
+        table_legs += legs + ([join] + legs[again:]) * (most - 1) + [0.0]
+    table_x, table_y, leg_lengths = (
+        np.array(values, dtype=float) for values in (table_x, table_y, table_legs)
     )
+    first = np.empty(len(trips), dtype=np.int64)
+    legs = np.empty(len(trips), dtype=np.int64)
+    for index, trip in enumerate(trips):
+        offset, single_legs, period = layout[id(trip.route)]
+        first[index] = offset
+        legs[index] = single_legs + (trip.repeats - 1) * period
+    starts = np.array([trip.start_time for trip in trips], dtype=float)
+    speeds = np.array([trip.speed_mps for trip in trips], dtype=float)
+    dwells = np.array([trip.dwell_time_s for trip in trips], dtype=float)
+
+    # Blocks of trips with similar leg counts pad least; the traces go back
+    # to trip order at the end.
+    order = np.argsort(legs, kind="stable")
+    traces: List[MobilityTrace] = [None] * len(trips)  # type: ignore[list-item]
+    lo = 0
+    while lo < len(trips):
+        # legs[order] ascends: the block's width is its last trip's.
+        hi = lo + 1
+        while hi < len(trips) and (hi + 1 - lo) * 2 * legs[order[hi]] <= chunk_samples:
+            hi += 1
+        rows = order[lo:hi]
+        width = int(legs[rows[-1]])
+        column = np.arange(width)
+        has_leg = column < legs[rows, None]
+        leg_index = np.where(has_leg, first[rows, None] + column, 0)
+        leg_times = np.where(has_leg, leg_lengths[leg_index], 0.0) / speeds[rows, None]
+        # Row layout: [start, leg 0, dwell 0, leg 1, …, dwell width-2, leg
+        # width-1]; no dwell follows a trip's last leg.
+        arrives = leg_times > 0
+        dwell_after = arrives & (dwells[rows, None] > 0)
+        dwell_after[np.arange(rows.size), legs[rows] - 1] = False
+        steps = np.empty((rows.size, 2 * width))
+        steps[:, 0] = starts[rows]
+        steps[:, 1::2] = leg_times
+        steps[:, 2::2] = np.where(dwell_after[:, :-1], dwells[rows, None], 0.0)
+        keep = np.empty(steps.shape, dtype=bool)
+        keep[:, 0] = True
+        keep[:, 1::2] = arrives
+        keep[:, 2::2] = dwell_after[:, :-1]
+        np.cumsum(steps, axis=1, out=steps)
+        # Step c of a row sits at waypoint (c + 1) // 2 of its trip.
+        waypoint = (first[rows, None] + (np.arange(2 * width) + 1) // 2)[keep]
+        block = MobilityTrace.from_block(
+            steps[keep], table_x[waypoint], table_y[waypoint],
+            np.cumsum(keep.sum(axis=1)), [node_ids[row] for row in rows.tolist()],
+        )
+        for row, trace in zip(rows.tolist(), block):
+            traces[row] = trace
+        lo = hi
+    return traces
+
+
+def build_trip_trace(trip: Trip, node_id: str = "") -> MobilityTrace:
+    """One trip's trace: :func:`build_trip_traces` of a single trip."""
+    return build_trip_traces([trip], [node_id or trip.trip_id])[0]
 
 
 @dataclass
@@ -143,7 +231,7 @@ class Timetable:
 
     def traces(self) -> List[MobilityTrace]:
         """Build one mobility trace per trip."""
-        return [build_trip_trace(trip) for trip in self.trips]
+        return build_trip_traces(self.trips)
 
     def active_bus_profile(self, bin_width_s: float, horizon_s: float) -> List[int]:
         """Number of active buses in each ``bin_width_s`` window (Fig. 7a)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,22 +34,51 @@ class TracePoint:
 class MobilityTrace:
     """A node's position samples: strictly increasing times with x and y.
 
-    The samples are stored as three float arrays; :class:`TracePoint`
-    objects are built only when :attr:`points` or :meth:`points_in_span`
-    asks for them.  Positions between samples are linearly interpolated.
-    Queries before the first sample or after the last return ``None`` — the
-    node is not active.
+    The samples are stored as three read-only float arrays, often views of
+    one block shared by a whole fleet (:meth:`from_block`);
+    :class:`TracePoint` objects are built only when :attr:`points` or
+    :meth:`points_in_span` asks for them.  Positions between samples are
+    linearly interpolated.  Queries before the first sample or after the
+    last return ``None`` — the node is not active.
     """
 
     def __init__(self, points: Sequence[TracePoint], node_id: str = "") -> None:
-        # Sorted here; duplicate timestamps are rejected by _store.
+        # Sorted here; duplicate timestamps are rejected by _frozen_block.
         ordered = sorted(points, key=lambda p: p.time)
-        self._store(
+        self._adopt(*_frozen_block(
             [p.time for p in ordered],
             [p.position.x for p in ordered],
             [p.position.y for p in ordered],
-            node_id,
-        )
+            None,
+            [node_id],
+        ), node_id)
+
+    @classmethod
+    def from_block(
+        cls,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+        ends: Sequence[int],
+        node_ids: Sequence[str],
+    ) -> List["MobilityTrace"]:
+        """Many traces from one block of concatenated samples.
+
+        Trace ``i`` holds the samples from ``ends[i - 1]`` (0 for the first)
+        up to ``ends[i]``, in time order, and is named ``node_ids[i]``.  The
+        block is copied and validated once — every sample finite, each
+        trace's first time non-negative and its times strictly increasing —
+        and each trace keeps read-only views of it.
+        """
+        t, x, y = _frozen_block(times, xs, ys, ends, node_ids)
+        traces = []
+        start = 0
+        for end, node_id in zip(np.asarray(ends).tolist(), node_ids):
+            trace = cls.__new__(cls)
+            trace._adopt(t[start:end], x[start:end], y[start:end], node_id)
+            traces.append(trace)
+            start = end
+        return traces
 
     @classmethod
     def from_samples(
@@ -61,41 +90,18 @@ class MobilityTrace:
     ) -> "MobilityTrace":
         """A trace straight from its sample arrays, already in time order."""
         trace = cls.__new__(cls)
-        trace._store(times, xs, ys, node_id)
+        trace._adopt(*_frozen_block(times, xs, ys, None, [node_id]), node_id)
         return trace
 
-    def _store(
-        self,
-        times: Sequence[float],
-        xs: Sequence[float],
-        ys: Sequence[float],
-        node_id: str,
+    def _adopt(
+        self, times: np.ndarray, xs: np.ndarray, ys: np.ndarray, node_id: str
     ) -> None:
-        """Validate the samples and keep them as read-only float arrays."""
-        arrays = [np.array(values, dtype=float) for values in (times, xs, ys)]
-        t = arrays[0]
-        if any(a.ndim != 1 or a.shape != t.shape for a in arrays):
-            raise ValueError("times, xs and ys must be one-dimensional and equally long")
-        if not t.size:
-            raise ValueError("a mobility trace needs at least one point")
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError("trace samples must be finite")
-        if t[0] < 0:
-            raise ValueError(f"trace time must be non-negative, got {t[0]}")
-        backwards = np.flatnonzero(t[1:] <= t[:-1])
-        if backwards.size:
-            i = int(backwards[0])
-            raise ValueError(
-                f"trace times must be strictly increasing (no duplicate "
-                f"timestamps), got {t[i + 1]} after {t[i]}"
-            )
-        for a in arrays:
-            a.flags.writeable = False
-        self._times_array, self._xs_array, self._ys_array = arrays
+        """Keep validated read-only sample arrays (see :func:`_frozen_block`)."""
+        self._times_array, self._xs_array, self._ys_array = times, xs, ys
         # Float-sequence views of the same memory for the scalar paths:
         # bisect and indexing yield plain Python floats, with no per-sample
         # objects kept alive.
-        self._times, self._xs, self._ys = (memoryview(a) for a in arrays)
+        self._times, self._xs, self._ys = memoryview(times), memoryview(xs), memoryview(ys)
         self._end_time = self._times[-1]
         self.node_id = node_id
 
@@ -105,7 +111,7 @@ class MobilityTrace:
 
     def __setstate__(self, state) -> None:
         times, xs, ys, node_id, end_time = state
-        self._store(times, xs, ys, node_id)
+        self._adopt(*_frozen_block(times, xs, ys, None, [node_id]), node_id)
         self._end_time = end_time
 
     @classmethod
@@ -230,6 +236,58 @@ class MobilityTrace:
         if span <= 0:
             return 0.0
         return self.total_distance() / span
+
+
+def _frozen_block(
+    times: Sequence[float],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    ends: Optional[Sequence[int]],
+    node_ids: Sequence[str],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copy, validate and freeze a block of traces' samples.
+
+    ``ends`` splits the samples into traces as in
+    :meth:`MobilityTrace.from_block`; ``None`` makes the block one trace.
+    The one validation path of every trace: a failing trace is named by its
+    node id when it has one.
+    """
+    arrays = [np.array(values, dtype=float) for values in (times, xs, ys)]
+    t = arrays[0]
+    if any(a.ndim != 1 or a.shape != t.shape for a in arrays):
+        raise ValueError("times, xs and ys must be one-dimensional and equally long")
+    ends = np.array([t.size] if ends is None else ends, dtype=np.int64)
+    if ends.ndim != 1 or ends.size != len(node_ids):
+        raise ValueError("a block needs one end offset and one node id per trace")
+    starts = np.concatenate(([0], ends[:-1]))
+    if not ends.size or ends[-1] != t.size or (ends < starts).any():
+        raise ValueError("block end offsets must split the samples in order")
+    if (ends == starts).any():
+        raise ValueError("a mobility trace needs at least one point")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("trace samples must be finite")
+
+    def named(index: int) -> str:
+        node_id = node_ids[index]
+        return f"node {node_id!r}: " if node_id else ""
+
+    negative = np.flatnonzero(t[starts] < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"{named(i)}trace time must be non-negative, got {t[starts[i]]}")
+    backwards = t[1:] <= t[:-1]
+    backwards[ends[:-1] - 1] = False  # a trace's last sample against the next's first
+    backwards = np.flatnonzero(backwards)
+    if backwards.size:
+        i = int(backwards[0])
+        raise ValueError(
+            f"{named(int(np.searchsorted(ends, i, side='right')))}trace times must "
+            f"be strictly increasing (no duplicate timestamps), got {t[i + 1]} "
+            f"after {t[i]}"
+        )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0], arrays[1], arrays[2]
 
 
 def active_count_at(traces: Sequence[MobilityTrace], time: float) -> int:
