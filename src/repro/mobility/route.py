@@ -98,6 +98,52 @@ class Trip:
         return driving + intermediate_stops * self.dwell_time_s
 
 
+def _route_table(routes: Dict[int, Tuple[BusRoute, int]]) -> Tuple[
+    Dict[int, Tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray
+]:
+    """Every route's waypoints and leg lengths, laid out for its longest block.
+
+    ``routes`` maps a key to a route and its most repeats.  Returns, per
+    key, the route's first table row, the legs of one run and the waypoints
+    each further run adds; then the table's x, y and leg lengths, where leg
+    w leaves waypoint w.
+    """
+    # Each route's single run once: waypoint i's leg slot holds the leg that
+    # leaves it; the last waypoint's holds the leg joining it to waypoint
+    # ``again``, where every further run starts.
+    single_x: List[float] = []
+    single_y: List[float] = []
+    single_legs: List[float] = []
+    runs = []
+    for route, most in routes.values():
+        waypoints = route.waypoints
+        xs = [float(p.x) for p in waypoints]
+        ys = [float(p.y) for p in waypoints]
+        again = route.repeat_start
+        single_legs += map(
+            math.hypot,
+            [a - b for a, b in zip(xs, xs[1:] + [xs[again]])],
+            [a - b for a, b in zip(ys, ys[1:] + [ys[again]])],
+        )
+        runs.append((len(single_x), len(xs), again, most))
+        single_x += xs
+        single_y += ys
+    # Table waypoint w of a route is its single waypoint w for w < n, then
+    # again + (w - n) % (n - again) on every further run.
+    offset, n, again, most = (np.array(column) for column in zip(*runs))
+    period = n - again
+    sizes = n + (most - 1) * period
+    firsts = np.cumsum(sizes) - sizes
+    layout = dict(zip(routes, zip(firsts.tolist(), (n - 1).tolist(), period.tolist())))
+    offset, n, again, period = (np.repeat(v, sizes) for v in (offset, n, again, period))
+    w = np.arange(sizes.sum()) - np.repeat(firsts, sizes)
+    source = offset + np.where(w < n, w, again + (w - n) % period)
+    table_x, table_y, leg_lengths = (
+        np.array(values, dtype=float)[source] for values in (single_x, single_y, single_legs)
+    )
+    return layout, table_x, table_y, leg_lengths
+
+
 def build_trip_traces(
     trips: Sequence[Trip],
     node_ids: Optional[Sequence[str]] = None,
@@ -130,35 +176,13 @@ def build_trip_traces(
         node_ids = [trip.trip_id for trip in trips]
     if len(node_ids) != len(trips):
         raise ValueError("build_trip_traces needs one node id per trip")
-    # One table of every route's waypoints and legs, each route laid out for
-    # its longest block.
+    if not trips:
+        return []
     routes: Dict[int, Tuple[BusRoute, int]] = {}
     for trip in trips:
         route, most = routes.get(id(trip.route), (trip.route, 0))
         routes[id(trip.route)] = (route, max(most, trip.repeats))
-    table_x: List[float] = []
-    table_y: List[float] = []
-    table_legs: List[float] = []
-    layout: Dict[int, Tuple[int, int, int]] = {}
-    for key, (route, most) in routes.items():
-        waypoints = route.waypoints
-        xs = [float(p.x) for p in waypoints]
-        ys = [float(p.y) for p in waypoints]
-        # Leg w runs from waypoint w to w + 1; each further run starts with
-        # the leg joining the last waypoint to waypoint ``again``.
-        legs = list(map(
-            math.hypot, [a - b for a, b in zip(xs, xs[1:])], [a - b for a, b in zip(ys, ys[1:])]
-        ))
-        again = route.repeat_start
-        join = math.hypot(xs[-1] - xs[again], ys[-1] - ys[again])
-        layout[key] = (len(table_x), len(legs), len(xs) - again)
-        table_x += xs + xs[again:] * (most - 1)
-        table_y += ys + ys[again:] * (most - 1)
-        # The route's last waypoint starts no leg: 0.0 keeps rows aligned.
-        table_legs += legs + ([join] + legs[again:]) * (most - 1) + [0.0]
-    table_x, table_y, leg_lengths = (
-        np.array(values, dtype=float) for values in (table_x, table_y, table_legs)
-    )
+    layout, table_x, table_y, leg_lengths = _route_table(routes)
     first = np.empty(len(trips), dtype=np.int64)
     legs = np.empty(len(trips), dtype=np.int64)
     for index, trip in enumerate(trips):

@@ -1,11 +1,20 @@
 """Unit tests for routes, trips and timetables."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point
-from repro.mobility.route import BusRoute, Timetable, Trip, build_trip_trace
+from repro.mobility.route import (
+    BusRoute,
+    Timetable,
+    Trip,
+    build_trip_trace,
+    build_trip_traces,
+)
+from repro.mobility.trace import TRACE_CHUNK_SAMPLES
 
 
 @pytest.fixture
@@ -157,6 +166,95 @@ class TestTripTraceMatchesScalarBuilder:
         assert [(p.time, p.position.x, p.position.y) for p in trace.points] == [
             (5.0, 0.0, 0.0), (15.0, 100.0, 0.0), (35.0, 100.0, 0.0)
         ]
+
+
+def samples_of(trace):
+    return list(zip(trace._times, trace._xs, trace._ys))
+
+
+@st.composite
+def routes(draw, index):
+    """A radial-like round trip or an open orbital, with duplicate stops and
+    stops a hair apart (legs too short to advance a late clock)."""
+    stops = [Point(draw(coordinates), draw(coordinates))]
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(["new"] * 6 + ["duplicate", "duplicate", "hair"]))
+        if kind == "duplicate":
+            stops.append(stops[-1])
+        elif kind == "hair":
+            stops.append(Point(math.nextafter(stops[-1].x, math.inf), stops[-1].y))
+        else:
+            stops.append(Point(draw(coordinates), draw(coordinates)))
+    return BusRoute(f"r{index}", stops, round_trip=draw(st.booleans()))
+
+
+@st.composite
+def trip_blocks(draw):
+    """Trips over several routes, interleaved, with mixed repeats and dwells."""
+    pool = [draw(routes(index)) for index in range(draw(st.integers(1, 4)))]
+    trips_ = []
+    for index in range(draw(st.integers(min_value=1, max_value=10))):
+        trips_.append(Trip(
+            f"t{index}",
+            draw(st.sampled_from(pool)),
+            start_time=draw(st.sampled_from([0.0, 3.5, 86399.0]) | st.floats(0.0, 86400.0)),
+            speed_mps=draw(st.floats(min_value=0.5, max_value=30.0)),
+            dwell_time_s=draw(st.sampled_from([0.0, 0.5, 20.0, 45.25])),
+            repeats=draw(st.integers(min_value=1, max_value=5)),
+        ))
+    return trips_
+
+
+class TestBlockMatchesScalarBuilder:
+    """Whole blocks of trips through one build equal the per-trip scalar walk."""
+
+    @given(trips_=trip_blocks(), chunk=st.sampled_from([1, 16, 64, TRACE_CHUNK_SAMPLES]))
+    @settings(max_examples=300, deadline=None)
+    def test_block_samples_are_identical_in_trip_order(self, trips_, chunk):
+        expected = [scalar_trip_samples(trip) for trip in trips_]
+        node_ids = [f"bus-{index:04d}" for index in range(len(trips_))]
+        if any(
+            later <= earlier
+            for samples in expected
+            for (earlier, _, _), (later, _, _) in zip(samples, samples[1:])
+        ):
+            # One trip's clock does not advance: the whole block is refused,
+            # naming a node.
+            with pytest.raises(ValueError, match="node 'bus-"):
+                build_trip_traces(trips_, node_ids, chunk_samples=chunk)
+            return
+        traces = build_trip_traces(trips_, node_ids, chunk_samples=chunk)
+        assert [trace.node_id for trace in traces] == node_ids
+        assert [samples_of(trace) for trace in traces] == expected
+
+    def test_default_node_ids_are_trip_ids(self, straight_route):
+        trips_ = [Trip(f"trip-{i}", straight_route, 10.0 * i, 10.0, repeats=1 + i % 3)
+                  for i in range(5)]
+        traces = build_trip_traces(trips_)
+        assert [trace.node_id for trace in traces] == [trip.trip_id for trip in trips_]
+        assert [samples_of(t) for t in traces] == [scalar_trip_samples(t) for t in trips_]
+
+    def test_one_trip_call_equals_its_block_row(self):
+        orbital = BusRoute("o", [Point(0, 0), Point(300, 0), Point(300, 400)])
+        radial = BusRoute("r", [Point(0, 0), Point(0, 250), Point(0, 250)], round_trip=True)
+        trips_ = [
+            Trip("a", orbital, 5.0, 7.5, dwell_time_s=0.0, repeats=3),
+            Trip("b", radial, 0.0, 12.0, dwell_time_s=20.0, repeats=2),
+            Trip("c", orbital, 60.0, 3.0, dwell_time_s=20.0, repeats=1),
+        ]
+        block = build_trip_traces(trips_, chunk_samples=1)
+        for trip, trace in zip(trips_, block):
+            assert samples_of(build_trip_trace(trip)) == samples_of(trace)
+
+    def test_empty_and_mismatched_calls(self, straight_route):
+        assert build_trip_traces([]) == []
+        with pytest.raises(ValueError, match="one node id per trip"):
+            build_trip_traces([Trip("a", straight_route, 0.0, 10.0)], ["x", "y"])
+
+    def test_repeat_start_skips_the_joining_waypoint_only_on_closed_routes(self):
+        assert BusRoute("r", [Point(0, 0), Point(1, 0)], round_trip=True).repeat_start == 1
+        assert BusRoute("o", [Point(0, 0), Point(1, 0), Point(0, 0)]).repeat_start == 1
+        assert BusRoute("o", [Point(0, 0), Point(1, 0), Point(0, 1)]).repeat_start == 0
 
 
 class TestTimetable:

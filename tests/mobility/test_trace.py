@@ -234,6 +234,79 @@ class TestFromSamples:
         assert copy.position_at(1e6) == Point(1.5, -2.0)
 
 
+def _same_trace(a, b):
+    assert a.node_id == b.node_id
+    assert a.end_time == b.end_time
+    for name in ("_times_array", "_xs_array", "_ys_array"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestFromBlock:
+    """Traces handed out by one block: views, validated once."""
+
+    @given(
+        block=st.lists(samples(), min_size=1, max_size=5),
+        probes=st.lists(st.floats(min_value=-10.0, max_value=1.1e5), max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_views_behave_like_single_traces(self, block, probes):
+        times = [t for trace in block for t in trace[0]]
+        xs = [x for trace in block for x in trace[1]]
+        ys = [y for trace in block for y in trace[2]]
+        ends = np.cumsum([len(trace[0]) for trace in block])
+        node_ids = [f"n{index}" for index in range(len(block))]
+        traces = MobilityTrace.from_block(times, xs, ys, ends, node_ids)
+        assert [trace.node_id for trace in traces] == node_ids
+        for trace, (t, x, y), node_id in zip(traces, block, node_ids):
+            alone = MobilityTrace.from_samples(t, x, y, node_id=node_id)
+            _same_trace(trace, alone)
+            for array in (trace._times_array, trace._xs_array, trace._ys_array):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            for view in (trace._times, trace._xs, trace._ys):
+                assert view.readonly
+                with pytest.raises(TypeError):
+                    view[0] = 1.0
+            _same_trace(pickle.loads(pickle.dumps(trace)), trace)
+            queries = probes + list(t)
+            rows = trace.positions_at(queries)
+            for query, row in zip(queries, rows):
+                point = trace.position_at(query)
+                if point is None:
+                    assert np.isnan(row).all()
+                else:
+                    assert (point.x, point.y) == tuple(row)
+
+    def test_block_is_independent_of_the_caller_arrays(self):
+        times = np.array([0.0, 10.0, 5.0])
+        (first, second) = MobilityTrace.from_block(times, times, times, [2, 3], ["a", "b"])
+        times[:] = -1.0
+        assert first.end_time == 10.0
+        assert second.position_at(5.0) == Point(5.0, 5.0)
+
+    def test_a_trace_may_start_before_the_previous_one_ends(self):
+        traces = MobilityTrace.from_block([0.0, 9.0, 3.0], [0.0] * 3, [0.0] * 3, [2, 3], ["a", "b"])
+        assert [trace.start_time for trace in traces] == [0.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "times, ends, node_ids, match",
+        [
+            ([0.0, 1.0, 2.0, 2.0], [2, 4], ["a", "b"], "node 'b': trace times must be strictly"),
+            ([0.0, 1.0, -2.0, 2.0], [2, 4], ["a", "b"], "node 'b': trace time must be non-neg"),
+            ([0.0, 1.0, 1.0], [3], [""], "^trace times must be strictly"),
+            ([0.0, 1.0], [1, 1, 2], ["a", "b", "c"], "at least one point"),
+            ([0.0, 1.0], [1], ["a"], "split the samples"),
+            ([0.0, 1.0], [2, 1], ["a", "b"], "split the samples"),
+            ([0.0, 1.0], [1, 2], ["a"], "one node id per trace"),
+        ],
+        ids=["repeat", "negative", "unnamed", "empty-trace", "short", "backwards", "ids"],
+    )
+    def test_rejects_an_invalid_block(self, times, ends, node_ids, match):
+        with pytest.raises(ValueError, match=match):
+            MobilityTrace.from_block(times, times, times, ends, node_ids)
+
+
 class TestActiveCount:
     def test_counts_active_traces_at_time(self):
         a = MobilityTrace.static(Point(0, 0), start=0.0, end=100.0)
