@@ -45,13 +45,14 @@ class MobilityTrace:
     def __init__(self, points: Sequence[TracePoint], node_id: str = "") -> None:
         # Sorted here; duplicate timestamps are rejected by _frozen_block.
         ordered = sorted(points, key=lambda p: p.time)
-        self._adopt(*_frozen_block(
+        block, ends = _frozen_block(
             [p.time for p in ordered],
             [p.position.x for p in ordered],
             [p.position.y for p in ordered],
             None,
             [node_id],
-        ), node_id)
+        )
+        self._adopt(block, 0, ends[0], node_id)
 
     @classmethod
     def from_block(
@@ -70,12 +71,12 @@ class MobilityTrace:
         trace's first time non-negative and its times strictly increasing —
         and each trace keeps read-only views of it.
         """
-        t, x, y = _frozen_block(times, xs, ys, ends, node_ids)
+        block, ends = _frozen_block(times, xs, ys, ends, node_ids)
         traces = []
         start = 0
-        for end, node_id in zip(np.asarray(ends).tolist(), node_ids):
+        for end, node_id in zip(ends, node_ids):
             trace = cls.__new__(cls)
-            trace._adopt(t[start:end], x[start:end], y[start:end], node_id)
+            trace._adopt(block, start, end, node_id)
             traces.append(trace)
             start = end
         return traces
@@ -89,19 +90,25 @@ class MobilityTrace:
         node_id: str = "",
     ) -> "MobilityTrace":
         """A trace straight from its sample arrays, already in time order."""
+        block, ends = _frozen_block(times, xs, ys, None, [node_id])
         trace = cls.__new__(cls)
-        trace._adopt(*_frozen_block(times, xs, ys, None, [node_id]), node_id)
+        trace._adopt(block, 0, ends[0], node_id)
         return trace
 
-    def _adopt(
-        self, times: np.ndarray, xs: np.ndarray, ys: np.ndarray, node_id: str
-    ) -> None:
-        """Keep validated read-only sample arrays (see :func:`_frozen_block`)."""
-        self._times_array, self._xs_array, self._ys_array = times, xs, ys
-        # Float-sequence views of the same memory for the scalar paths:
-        # bisect and indexing yield plain Python floats, with no per-sample
-        # objects kept alive.
-        self._times, self._xs, self._ys = memoryview(times), memoryview(xs), memoryview(ys)
+    def _adopt(self, block: "_Block", start: int, end: int, node_id: str) -> None:
+        """Keep samples ``start:end`` of a block from :func:`_frozen_block`.
+
+        The arrays serve the vectorized paths; the float-sequence views of
+        the same memory serve the scalar ones: bisect and indexing yield
+        plain Python floats, with no per-sample objects kept alive.
+        """
+        times, xs, ys, time_view, x_view, y_view = block
+        self._times_array, self._xs_array, self._ys_array = (
+            times[start:end], xs[start:end], ys[start:end]
+        )
+        self._times, self._xs, self._ys = (
+            time_view[start:end], x_view[start:end], y_view[start:end]
+        )
         self._end_time = self._times[-1]
         self.node_id = node_id
 
@@ -111,7 +118,8 @@ class MobilityTrace:
 
     def __setstate__(self, state) -> None:
         times, xs, ys, node_id, end_time = state
-        self._adopt(*_frozen_block(times, xs, ys, None, [node_id]), node_id)
+        block, ends = _frozen_block(times, xs, ys, None, [node_id])
+        self._adopt(block, 0, ends[0], node_id)
         self._end_time = end_time
 
     @classmethod
@@ -238,19 +246,23 @@ class MobilityTrace:
         return self.total_distance() / span
 
 
+#: A validated block: read-only times, xs and ys, then a memoryview of each.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, memoryview, memoryview, memoryview]
+
+
 def _frozen_block(
     times: Sequence[float],
     xs: Sequence[float],
     ys: Sequence[float],
     ends: Optional[Sequence[int]],
     node_ids: Sequence[str],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[_Block, List[int]]:
     """Copy, validate and freeze a block of traces' samples.
 
     ``ends`` splits the samples into traces as in
     :meth:`MobilityTrace.from_block`; ``None`` makes the block one trace.
     The one validation path of every trace: a failing trace is named by its
-    node id when it has one.
+    node id when it has one.  Returns the block and its end offsets.
     """
     arrays = [np.array(values, dtype=float) for values in (times, xs, ys)]
     t = arrays[0]
@@ -287,7 +299,7 @@ def _frozen_block(
         )
     for a in arrays:
         a.flags.writeable = False
-    return arrays[0], arrays[1], arrays[2]
+    return (*arrays, *map(memoryview, arrays)), ends.tolist()
 
 
 def active_count_at(traces: Sequence[MobilityTrace], time: float) -> int:

@@ -1,7 +1,7 @@
 """Allocation bound on building the London fleet's traces.
 
 ``build_mobility`` builds the traces of a block of trips at a time through a
-padded step matrix, chunked at ``TRACE_CHUNK_SAMPLES`` padded steps.  The
+padded step matrix of about ``TRIP_BLOCK_STEPS`` padded steps.  The
 traces themselves hold three float64 arrays of samples; everything else the
 build allocates (the timetable, the per-route waypoint table, the chunk's
 transients, the trace objects) is held below half of those sample bytes.  A
@@ -20,7 +20,7 @@ from repro.sim.randomness import RandomStreams
 SCALE = 0.25
 
 #: Peak traced bytes of the build, as a multiple of its sample bytes.
-PEAK_OVER_SAMPLES = 1.6
+PEAK_OVER_SAMPLES = 1.5
 
 
 def test_build_mobility_peak_stays_near_its_sample_bytes():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point
 from repro.mobility.route import (
+    TRIP_BLOCK_STEPS,
     BusRoute,
     Timetable,
     Trip,
     build_trip_trace,
     build_trip_traces,
 )
-from repro.mobility.trace import TRACE_CHUNK_SAMPLES
 
 
 @pytest.fixture
@@ -208,9 +208,9 @@ def trip_blocks(draw):
 class TestBlockMatchesScalarBuilder:
     """Whole blocks of trips through one build equal the per-trip scalar walk."""
 
-    @given(trips_=trip_blocks(), chunk=st.sampled_from([1, 16, 64, TRACE_CHUNK_SAMPLES]))
+    @given(trips_=trip_blocks(), block=st.sampled_from([1, 16, 64, TRIP_BLOCK_STEPS]))
     @settings(max_examples=300, deadline=None)
-    def test_block_samples_are_identical_in_trip_order(self, trips_, chunk):
+    def test_block_samples_are_identical_in_trip_order(self, trips_, block):
         expected = [scalar_trip_samples(trip) for trip in trips_]
         node_ids = [f"bus-{index:04d}" for index in range(len(trips_))]
         if any(
@@ -221,9 +221,9 @@ class TestBlockMatchesScalarBuilder:
             # One trip's clock does not advance: the whole block is refused,
             # naming a node.
             with pytest.raises(ValueError, match="node 'bus-"):
-                build_trip_traces(trips_, node_ids, chunk_samples=chunk)
+                build_trip_traces(trips_, node_ids, block_steps=block)
             return
-        traces = build_trip_traces(trips_, node_ids, chunk_samples=chunk)
+        traces = build_trip_traces(trips_, node_ids, block_steps=block)
         assert [trace.node_id for trace in traces] == node_ids
         assert [samples_of(trace) for trace in traces] == expected
 
@@ -242,7 +242,7 @@ class TestBlockMatchesScalarBuilder:
             Trip("b", radial, 0.0, 12.0, dwell_time_s=20.0, repeats=2),
             Trip("c", orbital, 60.0, 3.0, dwell_time_s=20.0, repeats=1),
         ]
-        block = build_trip_traces(trips_, chunk_samples=1)
+        block = build_trip_traces(trips_, block_steps=1)
         for trip, trace in zip(trips_, block):
             assert samples_of(build_trip_trace(trip)) == samples_of(trace)
 
