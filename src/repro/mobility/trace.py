@@ -43,16 +43,14 @@ class MobilityTrace:
     """
 
     def __init__(self, points: Sequence[TracePoint], node_id: str = "") -> None:
-        # Sorted here; duplicate timestamps are rejected by _frozen_block.
+        # Sorted here; duplicate timestamps are rejected by _store.
         ordered = sorted(points, key=lambda p: p.time)
-        block, ends = _frozen_block(
+        self._store(
             [p.time for p in ordered],
             [p.position.x for p in ordered],
             [p.position.y for p in ordered],
-            None,
-            [node_id],
+            node_id,
         )
-        self._adopt(block, 0, ends[0], node_id)
 
     @classmethod
     def from_block(
@@ -90,10 +88,20 @@ class MobilityTrace:
         node_id: str = "",
     ) -> "MobilityTrace":
         """A trace straight from its sample arrays, already in time order."""
-        block, ends = _frozen_block(times, xs, ys, None, [node_id])
         trace = cls.__new__(cls)
-        trace._adopt(block, 0, ends[0], node_id)
+        trace._store(times, xs, ys, node_id)
         return trace
+
+    def _store(
+        self,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+        node_id: str,
+    ) -> None:
+        """Validate and keep one trace's samples: a block of one trace."""
+        block, ends = _frozen_block(times, xs, ys, None, [node_id])
+        self._adopt(block, 0, ends[0], node_id)
 
     def _adopt(self, block: "_Block", start: int, end: int, node_id: str) -> None:
         """Keep samples ``start:end`` of a block from :func:`_frozen_block`.
@@ -118,8 +126,7 @@ class MobilityTrace:
 
     def __setstate__(self, state) -> None:
         times, xs, ys, node_id, end_time = state
-        block, ends = _frozen_block(times, xs, ys, None, [node_id])
-        self._adopt(block, 0, ends[0], node_id)
+        self._store(times, xs, ys, node_id)
         self._end_time = end_time
 
     @classmethod
