@@ -189,10 +189,6 @@ class TraceFileModel(MobilityModel):
     def build(self, spec: MobilitySpec, rng: np.random.Generator) -> MobilityBuild:
         del rng
         traces = load_traces_csv(spec.mobility.trace_file)
-        if not traces:
-            raise ValueError(
-                f"trace file {spec.mobility.trace_file!r} holds no trace points"
-            )
         return MobilityBuild(bounding_box=_enclosing_box(traces), traces=traces)
 
 
@@ -220,7 +216,8 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
     Nodes appear in the result in order of first appearance; each node's
     samples may be interleaved with other nodes' but must carry unique
     timestamps (enforced by :class:`MobilityTrace`).  Every time and
-    coordinate must be a finite number.
+    coordinate must be a finite number, and the file must hold at least one
+    sample.
     """
     source = Path(path)
     try:
@@ -248,7 +245,7 @@ def load_traces_csv(path: Union[str, Path]) -> Dict[str, MobilityTrace]:
             raise ValueError(f"trace file {source}, line {line}: empty node_id")
         samples.setdefault(node_id, []).append(sample)
     if not samples:
-        return {}
+        raise ValueError(f"trace file {source} holds no trace points")
     # Each node's samples in time order (stable, so a repeated timestamp
     # stays a repeat), all nodes in one block.
     nodes = [sorted(node_samples, key=lambda s: s[0]) for node_samples in samples.values()]

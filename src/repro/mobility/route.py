@@ -92,8 +92,7 @@ class Trip:
 
     def _waypoints(self) -> List[Point]:
         """Waypoints of the whole service block (route repeated ``repeats`` times)."""
-        single = self.route.waypoints
-        return single + single[self.route.repeat_start:] * (self.repeats - 1)
+        return _runs(self.route.waypoints, self.route.repeat_start, self.repeats)
 
     def duration_s(self) -> float:
         """Total service duration: driving time plus dwell at intermediate stops."""
@@ -103,6 +102,15 @@ class Trip:
         ) / self.speed_mps
         intermediate_stops = max(len(waypoints) - 2, 0)
         return driving + intermediate_stops * self.dwell_time_s
+
+
+def _runs(run: List, again: int, repeats: int) -> List:
+    """``repeats`` back-to-back service runs of one run's items.
+
+    Every run after the first starts at item ``again``
+    (:attr:`BusRoute.repeat_start`).
+    """
+    return run + run[again:] * (repeats - 1)
 
 
 def _route_table(routes: Dict[int, Tuple[BusRoute, int]]) -> Tuple[
@@ -115,46 +123,37 @@ def _route_table(routes: Dict[int, Tuple[BusRoute, int]]) -> Tuple[
     each further run adds; then the table's x, y and leg lengths, where leg
     w leaves waypoint w.
     """
-    # Each route's single run once: waypoint i's leg slot holds the leg that
-    # leaves it; the last waypoint's holds the leg joining it to waypoint
-    # ``again``, where every further run starts.
-    single_x: List[float] = []
-    single_y: List[float] = []
-    single_legs: List[float] = []
-    runs = []
-    for route, most in routes.values():
+    layout: Dict[int, Tuple[int, int, int]] = {}
+    # Each route's single run once, then the table as indices into it.
+    xs: List[float] = []
+    ys: List[float] = []
+    leaving: List[float] = []
+    table: List[int] = []
+    for key, (route, most) in routes.items():
         waypoints = route.waypoints
-        xs = [float(p.x) for p in waypoints]
-        ys = [float(p.y) for p in waypoints]
         again = route.repeat_start
-        single_legs += map(
-            math.hypot,
-            [a - b for a, b in zip(xs, xs[1:] + [xs[again]])],
-            [a - b for a, b in zip(ys, ys[1:] + [ys[again]])],
-        )
-        runs.append((len(single_x), len(xs), again, most))
-        single_x += xs
-        single_y += ys
-    # Table waypoint w of a route is its single waypoint w for w < n, then
-    # again + (w - n) % (n - again) on every further run.
-    offset, n, again, most = (np.array(column) for column in zip(*runs))
-    period = n - again
-    sizes = n + (most - 1) * period
-    firsts = np.cumsum(sizes) - sizes
-    layout = dict(zip(routes, zip(firsts.tolist(), (n - 1).tolist(), period.tolist())))
-    offset, n, again, period = (np.repeat(v, sizes) for v in (offset, n, again, period))
-    w = np.arange(sizes.sum()) - np.repeat(firsts, sizes)
-    source = offset + np.where(w < n, w, again + (w - n) % period)
-    table_x, table_y, leg_lengths = (
-        np.array(values, dtype=float)[source] for values in (single_x, single_y, single_legs)
-    )
-    return layout, table_x, table_y, leg_lengths
+        layout[key] = (len(table), len(waypoints) - 1, len(waypoints) - again)
+        first = len(xs)
+        run_x = [float(p.x) for p in waypoints]
+        run_y = [float(p.y) for p in waypoints]
+        # The leg leaving each waypoint (as Point.distance_to); the last
+        # one's joins the next run, so the legs repeat with the waypoints.
+        leaving += [
+            math.hypot(x - next_x, y - next_y)
+            for x, y, next_x, next_y in zip(
+                run_x, run_y, run_x[1:] + [run_x[again]], run_y[1:] + [run_y[again]]
+            )
+        ]
+        xs += run_x
+        ys += run_y
+        table += _runs(list(range(first, len(xs))), again, most)
+    rows = np.array(table)
+    return layout, np.array(xs)[rows], np.array(ys)[rows], np.array(leaving)[rows]
 
 
 def build_trip_traces(
     trips: Sequence[Trip],
     node_ids: Optional[Sequence[str]] = None,
-    block_steps: int = TRIP_BLOCK_STEPS,
 ) -> List[MobilityTrace]:
     """Convert trips into :class:`MobilityTrace` objects, in trip order.
 
@@ -168,15 +167,15 @@ def build_trip_traces(
     The traces are built in whole-block array passes, bit-identical to the
     scalar walk ``time += leg; time += dwell`` of each trip:
 
-    * leg lengths come once per route from ``math.hypot``, as in
-      :meth:`Point.distance_to`, and repeat with the route's waypoints up to
-      its longest block — a shorter block's waypoints are a prefix of them;
+    * each route's waypoints and leg lengths (``math.hypot``, as in
+      :meth:`Point.distance_to`) are laid out once, up to its longest block — a shorter block's
+      waypoints are a prefix of them;
     * each trip is a row ``[start, leg, dwell, leg, dwell, …, leg]`` of a
       padded step matrix whose absent steps (zero-length legs, no dwell,
       padding) are exact ``0.0`` no-ops, so ``np.cumsum(axis=1)`` adds in
       the scalar order and a mask keeps the samples that exist;
     * rows, sorted by leg count, are grouped into blocks of about
-      ``block_steps`` padded steps, and each block becomes traces at once
+      ``TRIP_BLOCK_STEPS`` padded steps, and each block becomes traces at once
       through :meth:`MobilityTrace.from_block`.
     """
     if node_ids is None:
@@ -208,7 +207,7 @@ def build_trip_traces(
     while lo < len(trips):
         # legs[order] ascends: the block's width is its last trip's.
         hi = lo + 1
-        while hi < len(trips) and (hi + 1 - lo) * 2 * legs[order[hi]] <= block_steps:
+        while hi < len(trips) and (hi + 1 - lo) * 2 * legs[order[hi]] <= TRIP_BLOCK_STEPS:
             hi += 1
         rows = order[lo:hi]
         width = int(legs[rows[-1]])

@@ -196,8 +196,9 @@ class TestSmoke:
                 "node_id,time_s,x_m,y_m\na,0,0,0\nb,5,1,1\nb,5,2,2\n",
                 "node 'b': trace times must be strictly increasing",
             ),
+            ("node_id,time_s,x_m,y_m\n", "holds no trace points"),
         ],
-        ids=["missing", "header", "negative-time", "repeated-time"],
+        ids=["missing", "header", "negative-time", "repeated-time", "header-only"],
     )
     def test_run_bad_trace_file_fails_cleanly(self, tmp_path, capsys, body, expected):
         path = tmp_path / "traces.csv"

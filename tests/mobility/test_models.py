@@ -188,6 +188,12 @@ class TestTraceFileModel:
         with pytest.raises(ValueError, match="header"):
             load_traces_csv(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("node_id,time_s,x_m,y_m\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"empty\.csv holds no trace points"):
+            load_traces_csv(path)
+
     def test_bad_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("node_id,time_s,x_m,y_m\nn,zero,0,0\n", encoding="utf-8")

@@ -1,11 +1,13 @@
 """Unit tests for routes, trips and timetables."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mobility import route as route_module
 from repro.mobility.geometry import Point
 from repro.mobility.route import (
     TRIP_BLOCK_STEPS,
@@ -220,10 +222,12 @@ class TestBlockMatchesScalarBuilder:
         ):
             # One trip's clock does not advance: the whole block is refused,
             # naming a node.
-            with pytest.raises(ValueError, match="node 'bus-"):
-                build_trip_traces(trips_, node_ids, block_steps=block)
+            with mock.patch.object(route_module, "TRIP_BLOCK_STEPS", block):
+                with pytest.raises(ValueError, match="node 'bus-"):
+                    build_trip_traces(trips_, node_ids)
             return
-        traces = build_trip_traces(trips_, node_ids, block_steps=block)
+        with mock.patch.object(route_module, "TRIP_BLOCK_STEPS", block):
+            traces = build_trip_traces(trips_, node_ids)
         assert [trace.node_id for trace in traces] == node_ids
         assert [samples_of(trace) for trace in traces] == expected
 
@@ -242,7 +246,8 @@ class TestBlockMatchesScalarBuilder:
             Trip("b", radial, 0.0, 12.0, dwell_time_s=20.0, repeats=2),
             Trip("c", orbital, 60.0, 3.0, dwell_time_s=20.0, repeats=1),
         ]
-        block = build_trip_traces(trips_, block_steps=1)
+        with mock.patch.object(route_module, "TRIP_BLOCK_STEPS", 1):
+            block = build_trip_traces(trips_)
         for trip, trace in zip(trips_, block):
             assert samples_of(build_trip_trace(trip)) == samples_of(trace)
 
